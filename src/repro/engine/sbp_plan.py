@@ -20,10 +20,10 @@ On top of the plan:
   a labeled set into one ``n × (q·k)`` block and sweeps them together;
 * :func:`repair_explicit_beliefs` / :func:`repair_added_edges` are the
   vectorised frontier repairs behind Algorithms 3 and 4 (ΔSBP): each
-  wave gathers the frontier's parent rows at once, collapses them with a
-  ``np.add.reduceat`` segment sum, and applies the residual coupling in
-  a single GEMM — while keeping the "only touch changed nodes"
-  accounting that the Fig. 7e experiment measures.
+  wave gathers the frontier's parent rows at once, sums them with one
+  sparse product in the sweep's parent order, and applies the residual
+  coupling in a single GEMM — while keeping the "only touch changed
+  nodes" accounting that the Fig. 7e experiment measures.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.graphs.geodesic import (
     level_slices,
     neighbor_gather,
     neighbor_targets,
-    segment_sum,
 )
 from repro.graphs.graph import Graph
 
@@ -187,10 +186,13 @@ class SBPPlan:
         previous[...] = beliefs[base]
         for level in range(1, self.max_level + 1):
             slice_matrix = self.slices[level - 1]
-            staged = scratch[:previous.shape[0]]
-            kernels.block_matmul(previous, residual, out=staged, num_classes=k)
+            # Parents are summed first, then multiplied by Ĥ: the order of
+            # the ΔSBP repair (_recompute_frontier), so a repaired view
+            # equals a fresh sweep bit for bit, exact zeros included.
+            summed = scratch[:slice_matrix.shape[0]]
+            kernels.spmm(slice_matrix, previous, out=summed)
             current = back[:slice_matrix.shape[0]]
-            kernels.spmm(slice_matrix, staged, out=current)
+            kernels.block_matmul(summed, residual, out=current, num_classes=k)
             beliefs[self.levels.nodes_at(level)] = current
             front, back = back, front
             previous = current
@@ -337,11 +339,13 @@ def _recompute_frontier(adjacency: sp.csr_matrix, geodesic: np.ndarray,
 
     The vectorised line 6 of Algorithms 3/4: one gather of every frontier
     node's adjacency row, a mask keeping parents exactly one level below
-    their child, a ``reduceat`` segment sum of the weighted parent beliefs,
-    and a single GEMM with the residual coupling.  Nodes at level 0 take
-    their explicit beliefs; nodes without qualifying parents become zero
-    (they lost their information source).  Returns the number of parent
-    edges read.
+    their child, a sparse product summing the weighted parent beliefs,
+    and a single GEMM with the residual coupling.  The parent sum runs
+    through the same sparse kernel, over parents in the same ascending
+    order, as :meth:`SBPPlan.propagate`, so repaired beliefs equal a full
+    sweep's bit for bit.  Nodes at level 0 take their explicit beliefs;
+    nodes without qualifying parents become zero (they lost their
+    information source).  Returns the number of parent edges read.
     """
     levels = geodesic[nodes]
     roots = levels == 0
@@ -353,9 +357,11 @@ def _recompute_frontier(adjacency: sp.csr_matrix, geodesic: np.ndarray,
     owner, parents, weights = neighbor_gather(adjacency, work)
     mask = geodesic[parents] == levels[~roots][owner] - 1
     owner, parents, weights = owner[mask], parents[mask], weights[mask]
-    contributions = weights[:, None] * beliefs[parents]
-    accumulated = segment_sum(contributions, owner, work.size)
-    beliefs[work] = accumulated @ residual
+    indptr = np.zeros(work.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=work.size), out=indptr[1:])
+    parent_sums = sp.csr_matrix((weights, parents, indptr),
+                                shape=(work.size, beliefs.shape[0]))
+    beliefs[work] = (parent_sums @ beliefs) @ residual
     return int(mask.sum())
 
 

@@ -17,8 +17,8 @@ whole frontiers with CSR ``indptr``/``indices`` gathers and ``np.unique``,
 per-level structure is exposed both as node lists (:class:`GeodesicLevels`)
 and as contiguous per-level CSR blocks (:func:`level_slices`) that the
 engine's :class:`repro.engine.sbp_plan.SBPPlan` sweeps one level at a time.
-The gather/segment primitives (:func:`neighbor_gather`, :func:`segment_sum`)
-are shared with the incremental ΔSBP repairs.
+The gather primitive (:func:`neighbor_gather`) is shared with the
+incremental ΔSBP repairs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "modified_adjacency",
     "neighbor_gather",
     "neighbor_targets",
-    "segment_sum",
     "shortest_path_weights",
 ]
 
@@ -105,7 +104,7 @@ def neighbor_gather(adjacency: sp.csr_matrix,
 
     ``owner[i]`` is the position *within* ``nodes`` whose row contributed the
     ``i``-th entry.  Each node's entries stay contiguous and owners ascend, so
-    per-owner reductions can run through :func:`segment_sum`.  This is the
+    the triple reads directly as the rows of a CSR matrix.  This is the
     vectorised replacement for per-node ``graph.neighbors`` loops: one fancy
     gather over ``indptr``/``indices``/``data``, no Python iteration.
     """
@@ -117,25 +116,6 @@ def neighbor_gather(adjacency: sp.csr_matrix,
     owner = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
     return (owner, adjacency.indices[positions].astype(np.int64, copy=False),
             adjacency.data[positions].astype(np.float64, copy=False))
-
-
-def segment_sum(values: np.ndarray, owner: np.ndarray,
-                num_groups: int) -> np.ndarray:
-    """Per-owner row sums over an *ascending* ``owner`` id array.
-
-    ``values`` is ``(m, k)``; the result is ``(num_groups, k)`` with row ``j``
-    the sum of all rows whose owner is ``j`` (zero for empty groups).  Built
-    on ``np.add.reduceat`` over the non-empty group boundaries, which handles
-    the empty-group pitfall of a naive reduceat call.
-    """
-    out = np.zeros((num_groups,) + values.shape[1:])
-    if owner.size == 0 or num_groups == 0:
-        return out
-    counts = np.bincount(owner, minlength=num_groups)
-    nonempty = counts > 0
-    boundaries = np.concatenate(([0], np.cumsum(counts[nonempty])))[:-1]
-    out[nonempty] = np.add.reduceat(values, boundaries, axis=0)
-    return out
 
 
 def geodesic_numbers(graph: Graph, labeled_nodes: Iterable[int]) -> np.ndarray:

@@ -24,7 +24,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,6 +53,114 @@ class Edge:
             else (self.target, self.source)
 
 
+EdgeLike = Union[Tuple[int, int], Tuple[int, int, float], Edge]
+
+
+def _edge_columns(edges: Iterable[EdgeLike]
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sources, targets (int64) and weights (float64), in input order.
+
+    A table of numeric pairs or triples (a list of them, or an ``(m, 2)``
+    or ``(m, 3)`` array) converts in one numpy pass.  Anything else --
+    :class:`Edge` objects, pairs mixed with triples, strings -- converts
+    edge by edge with ``int``/``float``, and a conversion error is raised
+    only after the edges before it have passed :func:`_check_edges`.
+    """
+    items = edges if isinstance(edges, (list, tuple, np.ndarray)) \
+        else list(edges)
+    try:
+        table = np.asarray(items)
+    except (ValueError, TypeError, OverflowError):
+        table = None
+    # NaN, infinite or huge float ids take the per-edge path, where int()
+    # raises for them.
+    if (table is not None and table.ndim == 2 and table.shape[1] in (2, 3)
+            and table.dtype.kind in "if"
+            and np.all(np.abs(table[:, :2]) < 2.0 ** 62)):
+        ids = table[:, :2].astype(np.int64)
+        weights = table[:, 2].astype(float) if table.shape[1] == 3 \
+            else np.ones(table.shape[0])
+        return ids[:, 0], ids[:, 1], weights
+    sources: List[int] = []
+    targets: List[int] = []
+    weights_list: List[float] = []
+    try:
+        for item in items:
+            if isinstance(item, Edge):
+                source, target, weight = item.source, item.target, item.weight
+            elif len(item) == 2:
+                source, target = item  # type: ignore[misc]
+                weight = 1.0
+            else:
+                source, target, weight = item  # type: ignore[misc]
+            source, target, weight = int(source), int(target), float(weight)
+            sources.append(source)
+            targets.append(target)
+            weights_list.append(weight)
+    except (TypeError, ValueError, OverflowError):
+        _check_edges(np.array(sources, dtype=np.int64),
+                     np.array(targets, dtype=np.int64),
+                     np.array(weights_list, dtype=float))
+        raise
+    return (np.array(sources, dtype=np.int64),
+            np.array(targets, dtype=np.int64),
+            np.array(weights_list, dtype=float))
+
+
+def _check_edges(sources: np.ndarray, targets: np.ndarray,
+                 weights: np.ndarray) -> None:
+    """Reject the first edge that is a self-loop, has a negative id or a
+    non-positive weight, with the message of the first check it fails."""
+    bad = (sources == targets) | (sources < 0) | (targets < 0) \
+        | (weights <= 0.0)
+    if not bad.any():
+        return
+    first = int(np.argmax(bad))
+    source, target = int(sources[first]), int(targets[first])
+    if source == target:
+        raise ValidationError(f"self-loop on node {source} is not allowed")
+    if source < 0 or target < 0:
+        raise ValidationError("node ids must be non-negative integers")
+    raise ValidationError(f"edge {source}-{target} has non-positive weight "
+                          f"{float(weights[first])}")
+
+
+def _unique_edges(edges: Iterable[EdgeLike], num_nodes: Optional[int]
+                  ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray]:
+    """Validate ``edges`` and group them by undirected node pair.
+
+    Returns ``(n, low, high, pair, weights)``: the node count
+    (``num_nodes``, or the largest referenced node + 1 when it is
+    ``None``), the distinct pairs as sorted arrays with ``low < high``,
+    and each input edge's pair index and weight, in input order.
+    """
+    sources, targets, weights = _edge_columns(edges)
+    _check_edges(sources, targets, weights)
+    max_node = int(max(sources.max(), targets.max())) if sources.size else -1
+    n = num_nodes if num_nodes is not None else max_node + 1
+    if n < max_node + 1:
+        raise ValidationError(
+            f"num_nodes={n} is smaller than the largest referenced node {max_node}")
+    keys, pair = np.unique(np.minimum(sources, targets) * n
+                           + np.maximum(sources, targets), return_inverse=True)
+    low, high = np.divmod(keys, n)
+    return n, low, high, pair, weights
+
+
+def _symmetric_csr(low: np.ndarray, high: np.ndarray, values: np.ndarray,
+                   n: int) -> sp.csr_matrix:
+    """The canonical CSR matrix with ``values`` at ``(low, high)`` and
+    ``(high, low)``; the pairs must be distinct with ``low < high``."""
+    rows = np.concatenate((low, high))
+    cols = np.concatenate((high, low))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((np.concatenate((values, values))[order],
+                          cols[order], indptr), shape=(n, n), dtype=float)
+
+
 class Graph:
     """An undirected, weighted graph backed by a symmetric sparse matrix.
 
@@ -75,12 +183,32 @@ class Graph:
             self._validate(matrix)
         matrix.setdiag(0.0)
         matrix.eliminate_zeros()
+        # Canonical form (sorted indices, no duplicates): with_edges_added
+        # merges into it and returns the same form.
+        matrix.sum_duplicates()
+        self._install(matrix, node_names)
+
+    def _install(self, matrix: sp.csr_matrix,
+                 node_names: Optional[Sequence[str]]) -> None:
         self._adjacency = matrix
         self._node_names = list(node_names) if node_names is not None else None
         if self._node_names is not None and len(self._node_names) != matrix.shape[0]:
             raise ValidationError(
                 f"expected {matrix.shape[0]} node names, got {len(self._node_names)}")
         self._degree_cache: Optional[np.ndarray] = None
+
+    @classmethod
+    def _canonical(cls, matrix: sp.csr_matrix,
+                   node_names: Optional[Sequence[str]] = None) -> "Graph":
+        """Wrap ``matrix`` without copying or re-checking it.
+
+        ``matrix`` must already be what ``__init__`` produces: a float
+        CSR matrix that is symmetric, has positive off-diagonal entries
+        only, and is canonical (sorted indices, no duplicates).
+        """
+        graph = cls.__new__(cls)
+        graph._install(matrix, node_names)
+        return graph
 
     @staticmethod
     def _validate(matrix: sp.csr_matrix) -> None:
@@ -97,7 +225,7 @@ class Graph:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_edges(cls, edges: Iterable[Tuple[int, int] | Tuple[int, int, float] | Edge],
+    def from_edges(cls, edges: Iterable[EdgeLike],
                    num_nodes: Optional[int] = None,
                    node_names: Optional[Sequence[str]] = None) -> "Graph":
         """Build a graph from an iterable of edges.
@@ -106,40 +234,11 @@ class Graph:
         (weight 1.0), or a ``(source, target, weight)`` triple.  Duplicate
         edges are summed; self-loops are rejected.
         """
-        weights: Dict[Tuple[int, int], float] = {}
-        max_node = -1
-        for item in edges:
-            if isinstance(item, Edge):
-                source, target, weight = item.source, item.target, item.weight
-            elif len(item) == 2:
-                source, target = item  # type: ignore[misc]
-                weight = 1.0
-            else:
-                source, target, weight = item  # type: ignore[misc]
-            source, target, weight = int(source), int(target), float(weight)
-            if source == target:
-                raise ValidationError(f"self-loop on node {source} is not allowed")
-            if source < 0 or target < 0:
-                raise ValidationError("node ids must be non-negative integers")
-            if weight <= 0.0:
-                raise ValidationError(
-                    f"edge {source}-{target} has non-positive weight {weight}")
-            key = (source, target) if source < target else (target, source)
-            weights[key] = weights.get(key, 0.0) + weight
-            max_node = max(max_node, source, target)
-        n = num_nodes if num_nodes is not None else max_node + 1
-        if n < max_node + 1:
-            raise ValidationError(
-                f"num_nodes={n} is smaller than the largest referenced node {max_node}")
-        if not weights:
-            return cls(sp.csr_matrix((n, n)), node_names=node_names, validate=False)
-        rows, cols, vals = [], [], []
-        for (source, target), weight in weights.items():
-            rows.extend((source, target))
-            cols.extend((target, source))
-            vals.extend((weight, weight))
-        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(matrix, node_names=node_names, validate=False)
+        n, low, high, pair, weights = _unique_edges(edges, num_nodes)
+        # Duplicates sum in input order, like a running per-pair total.
+        sums = np.bincount(pair, weights=weights, minlength=low.size)
+        return cls._canonical(_symmetric_csr(low, high, sums, n),
+                              node_names=node_names)
 
     @classmethod
     def empty(cls, num_nodes: int) -> "Graph":
@@ -253,18 +352,31 @@ class Graph:
     # ------------------------------------------------------------------ #
     # modification (returns new Graph instances; Graph is immutable-ish)
     # ------------------------------------------------------------------ #
-    def with_edges_added(self, new_edges: Iterable[Tuple[int, int] | Tuple[int, int, float] | Edge]) -> "Graph":
-        """A new graph with ``new_edges`` added (weights summed on duplicates)."""
-        combined: List[Edge] = list(self.edges())
-        for item in new_edges:
-            if isinstance(item, Edge):
-                combined.append(item)
-            elif len(item) == 2:
-                combined.append(Edge(int(item[0]), int(item[1]), 1.0))
-            else:
-                combined.append(Edge(int(item[0]), int(item[1]), float(item[2])))
-        return Graph.from_edges(combined, num_nodes=self.num_nodes,
-                                node_names=self._node_names)
+    def with_edges_added(self, new_edges: Iterable[EdgeLike]) -> "Graph":
+        """A new graph with ``new_edges`` added (weights summed on duplicates).
+
+        The new edges are validated like :meth:`from_edges` input.  Pairs
+        absent from ``A`` are added as one symmetric sparse delta; pairs
+        already present are overwritten in place.  Either way a pair's
+        weight is its current weight plus the new weights in input order,
+        the sum :meth:`from_edges` would form from all edges, so the cost
+        follows the size of the delta plus one merge pass over ``A``.
+        """
+        n, low, high, pair, weights = _unique_edges(new_edges, self.num_nodes)
+        # (scipy answers an empty fancy index with a sparse matrix)
+        current = np.asarray(self._adjacency[low, high]).ravel() \
+            if low.size else np.zeros(0)
+        sums = np.bincount(np.concatenate((np.arange(low.size), pair)),
+                           weights=np.concatenate((current, weights)))
+        absent = current == 0.0
+        adjacency = self._adjacency + _symmetric_csr(
+            low[absent], high[absent], sums[absent], n)
+        if not absent.all():
+            present = ~absent
+            adjacency[np.concatenate((low[present], high[present])),
+                      np.concatenate((high[present], low[present]))] = \
+                np.concatenate((sums[present], sums[present]))
+        return Graph._canonical(adjacency, node_names=self._node_names)
 
     def subgraph_weights_scaled(self, factor: float) -> "Graph":
         """A new graph with every edge weight multiplied by ``factor`` > 0."""

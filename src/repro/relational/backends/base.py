@@ -21,7 +21,7 @@ The compiled SQL program per algorithm:
   bounded by ``n``, then ``MIN(g) GROUP BY v``), followed by one INSERT per
   level whose per-node segment sums are window functions
   (``SUM(...) OVER (PARTITION BY target, class)`` — the SQL analogue of the
-  ``np.add.reduceat`` segment sum in :mod:`repro.engine.sbp_plan`).
+  per-level parent sum in :mod:`repro.engine.sbp_plan`).
 
 Beliefs live in the database for the whole run: with ``materialize=False``
 (and :meth:`top_labels`, which ranks beliefs with a window function) a graph
@@ -295,7 +295,7 @@ _SBP_SEED = [
 #: One geodesic level of Algorithm 2, line 5.  The per-(node, class) segment
 #: sum over qualifying parent edges — parents exactly one level below, each
 #: edge read once — is a window aggregate (SUM OVER PARTITION BY), the SQL
-#: analogue of the reduceat segment sum in repro.engine.sbp_plan; the
+#: analogue of the per-level parent sum in repro.engine.sbp_plan; the
 #: ROW_NUMBER pick keeps one representative row per segment.
 SBP_LEVEL_SQL = """
 INSERT INTO beliefs (v, c, b)

@@ -44,11 +44,12 @@ Operations::
     {"op": "shutdown"}
 
 Belief lists use the relational ``E(v, c, b)`` row layout of Section 5.3:
-``[node, class, value]`` triples.  Query responses report the top label
-per labeled node (truncated at ``"limit"``, default 10; ``0`` means
-all); pass ``"return_beliefs": true`` for the raw residual belief rows
-instead.  Query requests accept every :class:`~repro.service.spec
-.QuerySpec` field (``method``, ``max_iterations``, ``tolerance``,
+``[node, class, value]`` triples with finite values.  Query responses
+report the top label per labeled node (truncated at ``"limit"``, default
+10; ``0`` means all, a negative limit is rejected); pass
+``"return_beliefs": true`` for the raw residual belief rows instead.
+Query requests accept every :class:`~repro.service.spec.QuerySpec`
+field (``method``, ``max_iterations``, ``tolerance``,
 ``num_iterations``, ``dtype``, ``precision``) plus ``"staleness"``, the
 :meth:`~repro.service.service.PropagationService.query` staleness bound.
 """
@@ -56,6 +57,7 @@ instead.  Query requests accept every :class:`~repro.service.spec
 from __future__ import annotations
 
 import json
+import math
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -123,64 +125,117 @@ def error_code(exception: BaseException) -> str:
     return "internal"
 
 
-def _truncate(entries: list, limit: int) -> str:
-    """Join entries, marking truncation only when entries were dropped."""
+def _request_limit(request: dict) -> int:
+    """The request's ``limit`` (default :data:`DEFAULT_LIMIT`; 0 = all)."""
+    limit = int(request.get("limit", DEFAULT_LIMIT))
+    if limit < 0:
+        raise ValidationError(
+            f"limit must be >= 0 (0 means no limit), got {limit}")
+    return limit
+
+
+def _emitted(nodes: np.ndarray, limit: int) -> Tuple[np.ndarray, bool]:
+    """The first ``limit`` of ``nodes`` (all for 0), and whether any were
+    dropped."""
+    truncated = bool(limit) and nodes.size > limit
+    return (nodes[:limit] if truncated else nodes), truncated
+
+
+def _joined(separator: str, entries: List[str], truncated: bool) -> str:
+    """v0 list text: ``-`` when empty, ``...`` last when truncated."""
     if not entries:
         return "-"
-    if limit and len(entries) > limit:
-        return ",".join(entries[:limit] + ["..."])
-    return ",".join(entries)
+    return separator.join(entries + ["..."] if truncated else entries)
 
 
-def _format_labels(result, coupling: CouplingMatrix, limit: int) -> str:
-    labels = result.hard_labels()
-    shown = [f"{node}:{coupling.name_of(int(labels[node]))}"
-             for node in range(labels.shape[0]) if labels[node] >= 0]
-    return _truncate(shown, limit)
+def _label_payload(result, coupling: CouplingMatrix, limit: int,
+                   version: int) -> Tuple[object, bool]:
+    """Top label per labeled node, for the emitted nodes only.
 
-
-def _format_beliefs(result, limit: int) -> str:
-    rows = [f"{node}:" + "|".join(f"{value:.6g}" for value in row)
-            for node, row in enumerate(result.beliefs) if np.any(row != 0.0)]
-    if not rows:
-        return "-"
-    if limit and len(rows) > limit:
-        return ";".join(rows[:limit] + ["..."])
-    return ";".join(rows)
-
-
-def _label_rows(result, coupling: CouplingMatrix) -> List[list]:
-    """v1 label payload: ``[node, class_name]`` per labeled node."""
-    labels = result.hard_labels()
-    return [[int(node), coupling.name_of(int(labels[node]))]
-            for node in range(labels.shape[0]) if labels[node] >= 0]
-
-
-def _belief_rows(result) -> List[list]:
-    """v1 belief payload: ``[node, [values...]]`` per non-zero row.
-
-    Values pass through Python ``float`` (exact for float64, the exact
-    widened value for float32), so ``json.dumps`` emits ``repr``-style
-    shortest-round-trip literals — ``json.loads`` recovers bit-identical
-    float64s, unlike the v0 text's ``%.6g``.
+    v0: ``node:class`` text joined by ``,``; v1: ``[node, class_name]``
+    rows.  Returns the payload and the truncation flag.
     """
-    return [[int(node), [float(value) for value in row]]
-            for node, row in enumerate(result.beliefs) if np.any(row != 0.0)]
+    labels = result.hard_labels()
+    nodes, truncated = _emitted(np.flatnonzero(labels >= 0), limit)
+    names = [coupling.name_of(klass) for klass in range(coupling.num_classes)]
+    pairs = zip(nodes.tolist(), labels[nodes].tolist())
+    if version == 0:
+        return _joined(",", [f"{node}:{names[label]}"
+                             for node, label in pairs], truncated), truncated
+    return [[node, names[label]] for node, label in pairs], truncated
+
+
+def _belief_payload(beliefs: np.ndarray, limit: int,
+                    version: int) -> Tuple[object, bool]:
+    """Belief rows of the emitted non-zero nodes.
+
+    v0: ``node:v|v|v`` text with ``%.6g`` values, joined by ``;``.  v1:
+    ``[node, [values...]]`` rows; ``ndarray.tolist`` yields Python floats
+    (exact for float64, the exact widened value for float32), so
+    ``json.dumps`` emits shortest-round-trip literals and ``json.loads``
+    recovers bit-identical float64s, unlike the v0 text.
+    """
+    nodes, truncated = _emitted(
+        np.flatnonzero(np.any(beliefs != 0.0, axis=1)), limit)
+    rows = zip(nodes.tolist(), beliefs[nodes].tolist())
+    if version == 0:
+        return _joined(";", [f"{node}:" + "|".join(f"{value:.6g}"
+                                                   for value in values)
+                             for node, values in rows], truncated), truncated
+    return [[node, values] for node, values in rows], truncated
+
+
+def _belief_row(triple, num_nodes: int,
+                num_classes: int) -> Tuple[int, int, float]:
+    """One checked ``[node, class, value]`` row."""
+    if len(triple) != 3:
+        raise ValidationError("beliefs must be [node, class, value] triples")
+    node, klass, value = int(triple[0]), int(triple[1]), float(triple[2])
+    if not 0 <= node < num_nodes:
+        raise ValidationError(f"node {node} out of range [0, {num_nodes})")
+    if not 0 <= klass < num_classes:
+        raise ValidationError(
+            f"class {klass} out of range [0, {num_classes})")
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"belief value {value} for node {node} class {klass} is not "
+            "finite")
+    return node, klass, value
 
 
 def _belief_matrix(triples, num_nodes: int, num_classes: int) -> np.ndarray:
+    """The explicit-belief matrix of ``[node, class, value]`` rows.
+
+    A later row for the same cell wins.  A numeric table is checked and
+    scattered in one numpy pass; its first offending row raises what
+    :func:`_belief_row` raises for it.  Anything else (ragged rows,
+    strings) goes through :func:`_belief_row` row by row.
+    """
     matrix = np.zeros((num_nodes, num_classes))
-    for triple in triples:
-        if len(triple) != 3:
-            raise ValidationError(
-                "beliefs must be [node, class, value] triples")
-        node, klass, value = int(triple[0]), int(triple[1]), float(triple[2])
-        if not 0 <= node < num_nodes:
-            raise ValidationError(f"node {node} out of range [0, {num_nodes})")
-        if not 0 <= klass < num_classes:
-            raise ValidationError(
-                f"class {klass} out of range [0, {num_classes})")
-        matrix[node, klass] = value
+    try:
+        table = np.asarray(triples)
+    except (ValueError, TypeError, OverflowError):
+        table = None
+    if table is None or table.ndim != 2 or table.shape[1] != 3 \
+            or table.dtype.kind not in "biuf":
+        for triple in triples:
+            node, klass, value = _belief_row(triple, num_nodes, num_classes)
+            matrix[node, klass] = value
+        return matrix
+    table = table.astype(float)
+    nodes, classes, values = np.trunc(table[:, 0]), np.trunc(table[:, 1]), \
+        table[:, 2]
+    valid = (nodes >= 0) & (nodes < num_nodes) & (classes >= 0) \
+        & (classes < num_classes) & np.isfinite(values)
+    if not valid.all():
+        # Checked alone, the first offending row raises its own message.
+        _belief_row(triples[int(np.argmin(valid))], num_nodes, num_classes)
+    cells = nodes.astype(np.int64) * num_classes + classes.astype(np.int64)
+    # Keep each cell's last row: repeated fancy-index assignment has no
+    # defined order.
+    _, last = np.unique(cells[::-1], return_index=True)
+    keep = cells.size - 1 - last
+    matrix.ravel()[cells[keep]] = values[keep]
     return matrix
 
 
@@ -204,40 +259,22 @@ def _format_v0(value) -> str:
     return str(value)
 
 
-class _Reply:
-    """One successful response, rendered per protocol version.
+def _render_ok(version: int, kind: str,
+               fields: Sequence[Tuple[str, object]] = ()) -> str:
+    """One success line in the request's protocol version.
 
-    ``fields`` are ``(key, value)`` pairs shared by both renderings (v0
-    as ``key=value`` tokens, v1 as JSON object members, in order);
-    ``text_extra`` appends v0-only tokens (pre-formatted strings like
-    the truncated label list), ``json_extra`` adds v1-only members (the
-    structured equivalent).  ``text`` overrides the whole v0 line for
-    the fieldless legacy responses (``ok pong``, ``ok bye``).
+    ``fields`` are ``(key, value)`` pairs: v0 renders them as
+    ``key=value`` tokens after ``ok <kind>``, v1 as JSON object members
+    after ``ok``, ``v`` and ``op``, in order.  Handlers pass each
+    version only the fields it carries.
     """
-
-    def __init__(self, kind: str, fields: Sequence[Tuple[str, object]] = (),
-                 text_extra: Sequence[Tuple[str, str]] = (),
-                 json_extra: Optional[dict] = None,
-                 text: Optional[str] = None, keep_running: bool = True):
-        self.kind = kind
-        self.fields = list(fields)
-        self.text_extra = list(text_extra)
-        self.json_extra = dict(json_extra or {})
-        self.text = text
-        self.keep_running = keep_running
-
-    def render(self, version: int) -> str:
-        if version == 0:
-            if self.text is not None:
-                return self.text
-            tokens = [f"{key}={_format_v0(value)}"
-                      for key, value in [*self.fields, *self.text_extra]]
-            payload = (" " + " ".join(tokens)) if tokens else ""
-            return f"ok {self.kind}{payload}"
-        body = {"ok": True, "v": 1, "op": self.kind}
-        body.update(self.fields)
-        body.update(self.json_extra)
-        return json.dumps(body, separators=(",", ":"))
+    if version == 0:
+        tokens = "".join(f" {key}={_format_v0(value)}"
+                         for key, value in fields)
+        return f"ok {kind}{tokens}"
+    body = {"ok": True, "v": 1, "op": kind}
+    body.update(fields)
+    return json.dumps(body, separators=(",", ":"))
 
 
 def _render_error(version: int, code: str, message: str) -> str:
@@ -303,7 +340,7 @@ class ServiceSession:
             return _render_error(version, "unknown-op",
                                  f"unknown op {op!r}"), True
         try:
-            reply = handler(request)
+            reply = handler(request, version)
         except KeyError as error:
             return _render_error(version, "missing-field",
                                  f"missing field {error.args[0]!r}"), True
@@ -316,7 +353,7 @@ class ServiceSession:
             return _render_error(
                 version, "internal",
                 f"internal: {type(error).__name__}: {error}"), True
-        return reply.render(version), reply.keep_running
+        return reply, op != "shutdown"
 
     def overload_response(self, line: str, detail: str) -> str:
         """A 503-style rejection for a request the server will not run.
@@ -338,17 +375,17 @@ class ServiceSession:
     # ------------------------------------------------------------------ #
     # operations
     # ------------------------------------------------------------------ #
-    def _op_load_graph(self, request: dict) -> _Reply:
+    def _op_load_graph(self, request: dict, version: int) -> str:
         name = str(request["name"])
         graph = Graph.from_edges(
             [tuple(edge) for edge in request["edges"]],
             num_nodes=request.get("num_nodes"))
         snapshot = self.service.register_graph(name, graph)
-        return _Reply("graph", fields=[
+        return _render_ok(version, "graph", [
             ("name", name), ("nodes", graph.num_nodes),
             ("edges", graph.num_edges), ("version", snapshot.version)])
 
-    def _op_load_coupling(self, request: dict) -> _Reply:
+    def _op_load_coupling(self, request: dict, version: int) -> str:
         name = str(request["name"])
         epsilon = float(request.get("epsilon", 1.0))
         class_names = request.get("classes")
@@ -365,24 +402,41 @@ class ServiceSession:
                 "load_coupling needs a 'residual' or 'stochastic' matrix")
         with self._lock:
             self._couplings[name] = coupling
-        return _Reply("coupling", fields=[
+        return _render_ok(version, "coupling", [
             ("name", name), ("classes", coupling.num_classes)])
 
-    def _op_query(self, request: dict) -> _Reply:
+    def _op_query(self, request: dict, version: int) -> str:
         graph_name = str(request["graph"])
         coupling = self.coupling(str(request["coupling"]))
         snapshot = self.service.snapshot(graph_name)
         explicit = _belief_matrix(request["beliefs"],
                                   snapshot.graph.num_nodes,
                                   coupling.num_classes)
+        limit = _request_limit(request)
         spec = QuerySpec.from_request(
             request, defaults=self.service.default_spec)
         result = self.service.query(
             graph_name, coupling, explicit, spec,
             max_staleness=int(request.get("staleness", 0)))
-        return self._result_reply("query", result, coupling, request)
+        fields = [("method", result.method),
+                  ("iterations", int(result.iterations)),
+                  ("converged", bool(result.converged))]
+        if request.get("return_beliefs"):
+            payload, truncated = _belief_payload(result.beliefs, limit,
+                                                 version)
+            fields.append(("beliefs", payload))
+        else:
+            payload, truncated = _label_payload(result, coupling, limit,
+                                                version)
+            fields.append(("labels", payload))
+        if version != 0:
+            fields.append(("truncated", truncated))
+            snapshot_version = result.extra.get("snapshot_version")
+            if snapshot_version is not None:
+                fields.append(("snapshot_version", int(snapshot_version)))
+        return _render_ok(version, "query", fields)
 
-    def _op_view(self, request: dict) -> _Reply:
+    def _op_view(self, request: dict, version: int) -> str:
         graph_name = str(request["graph"])
         view_name = str(request["name"])
         coupling = self.coupling(str(request["coupling"]))
@@ -393,26 +447,24 @@ class ServiceSession:
         result = self.service.create_view(
             graph_name, view_name, coupling, explicit,
             method=str(request.get("method", "sbp")))
-        return _Reply("view", fields=[
+        return _render_ok(version, "view", [
             ("graph", graph_name), ("name", view_name),
             ("method", result.method),
             ("iterations", int(result.iterations))])
 
-    def _op_read_view(self, request: dict) -> _Reply:
+    def _op_read_view(self, request: dict, version: int) -> str:
         graph_name = str(request["graph"])
         view_name = str(request["name"])
+        limit = _request_limit(request)
         result = self.service.view_result(graph_name, view_name)
-        limit = int(request.get("limit", DEFAULT_LIMIT))
-        rows = _belief_rows(result)
-        truncated = bool(limit) and len(rows) > limit
-        return _Reply(
-            "read_view",
-            fields=[("graph", graph_name), ("name", view_name)],
-            text_extra=[("beliefs", _format_beliefs(result, limit))],
-            json_extra={"beliefs": rows[:limit] if truncated else rows,
-                        "truncated": truncated})
+        payload, truncated = _belief_payload(result.beliefs, limit, version)
+        fields = [("graph", graph_name), ("name", view_name),
+                  ("beliefs", payload)]
+        if version != 0:
+            fields.append(("truncated", truncated))
+        return _render_ok(version, "read_view", fields)
 
-    def _op_update(self, request: dict) -> _Reply:
+    def _op_update(self, request: dict, version: int) -> str:
         graph_name = str(request["graph"])
         edges = request.get("edges")
         beliefs = request.get("beliefs")
@@ -427,7 +479,7 @@ class ServiceSession:
             new_edges = [tuple(edge) for edge in edges]
         snapshot = self.service.update(graph_name, new_beliefs=new_beliefs,
                                        new_edges=new_edges)
-        return _Reply("update", fields=[
+        return _render_ok(version, "update", [
             ("graph", graph_name), ("version", snapshot.version)])
 
     def _update_classes(self, graph_name: str, request: dict) -> int:
@@ -452,21 +504,22 @@ class ServiceSession:
                 "determine the class count")
         return classes.pop()
 
-    def _op_stats(self, request: dict) -> _Reply:
+    def _op_stats(self, request: dict, version: int) -> str:
         stats = self.service.stats()
+        if version != 0:
+            return _render_ok(version, "stats",
+                              [("stats", _json_safe(stats))])
         coalescer = stats["coalescer"]
         cache = stats["result_cache"]
-        text = (f"ok stats queries={stats['queries']} "
+        return (f"ok stats queries={stats['queries']} "
                 f"updates={stats['updates']} "
                 f"batches={coalescer['batches']} "
                 f"coalesced_requests={coalescer['coalesced_requests']} "
                 f"largest_batch={coalescer['largest_batch']} "
                 f"cache_hits={cache['hits']} "
                 f"cache_size={cache['size']}")
-        return _Reply("stats", text=text,
-                      json_extra={"stats": _json_safe(stats)})
 
-    def _op_metrics(self, request: dict) -> _Reply:
+    def _op_metrics(self, request: dict, version: int) -> str:
         """Telemetry dump: default registry merged with the service's own.
 
         The v1 payload carries the full structured snapshot (per-series
@@ -481,41 +534,17 @@ class ServiceSession:
             for name, entry in registry.snapshot().items():
                 merged.setdefault(name, entry)
         series = sum(len(entry["series"]) for entry in merged.values())
-        json_extra = {"metrics": _json_safe(merged)}
-        if str(request.get("format", "")) == "prometheus":
-            json_extra["prometheus"] = render_prometheus(registries)
-        return _Reply("metrics",
-                      fields=[("names", len(merged)), ("series", series),
-                              ("enabled", obs_enabled())],
-                      json_extra=json_extra)
+        fields = [("names", len(merged)), ("series", series),
+                  ("enabled", obs_enabled())]
+        if version != 0:
+            fields.append(("metrics", _json_safe(merged)))
+            if str(request.get("format", "")) == "prometheus":
+                fields.append(("prometheus", render_prometheus(registries)))
+        return _render_ok(version, "metrics", fields)
 
-    def _op_ping(self, request: dict) -> _Reply:
-        return _Reply("ping", text="ok pong")
+    def _op_ping(self, request: dict, version: int) -> str:
+        return "ok pong" if version == 0 else _render_ok(version, "ping")
 
-    def _op_shutdown(self, request: dict) -> _Reply:
-        return _Reply("shutdown", text="ok bye", keep_running=False)
-
-    # ------------------------------------------------------------------ #
-    # formatting
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _result_reply(op: str, result, coupling: CouplingMatrix,
-                      request: dict) -> _Reply:
-        limit = int(request.get("limit", DEFAULT_LIMIT))
-        fields = [("method", result.method),
-                  ("iterations", int(result.iterations)),
-                  ("converged", bool(result.converged))]
-        if request.get("return_beliefs"):
-            key, rows = "beliefs", _belief_rows(result)
-            text_value = _format_beliefs(result, limit)
-        else:
-            key, rows = "labels", _label_rows(result, coupling)
-            text_value = _format_labels(result, coupling, limit)
-        truncated = bool(limit) and len(rows) > limit
-        json_extra = {key: rows[:limit] if truncated else rows,
-                      "truncated": truncated}
-        snapshot_version = result.extra.get("snapshot_version")
-        if snapshot_version is not None:
-            json_extra["snapshot_version"] = int(snapshot_version)
-        return _Reply(op, fields=fields,
-                      text_extra=[(key, text_value)], json_extra=json_extra)
+    def _op_shutdown(self, request: dict, version: int) -> str:
+        """Stop the serve loop (``handle_line`` reports keep_running=False)."""
+        return "ok bye" if version == 0 else _render_ok(version, "shutdown")

@@ -197,3 +197,32 @@ class TestVectorizedAgainstReference:
         assert np.abs(result.beliefs - reference_beliefs).max() < 1e-10
         assert np.array_equal(result.extra["geodesic_numbers"],
                               reference.geodesic_numbers)
+
+
+class TestRepairMatchesSweepExactly:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_update_chain_equals_a_fresh_sweep_bit_for_bit(self, seed):
+        """ΔSBP repairs sum parents in the full sweep's order, so a
+        maintained view never differs from a fresh sweep, not even in
+        which rows are exactly zero."""
+        graph, coupling, explicit = _random_workload(seed, num_nodes=60,
+                                                     num_labels=4)
+        runner = SBP(graph, coupling)
+        runner.run(explicit)
+        rng = np.random.default_rng(seed + 500)
+        for step in range(12):
+            if step % 2:
+                node = int(rng.integers(graph.num_nodes))
+                values = rng.uniform(-0.1, 0.1, size=2)
+                explicit[node] = [values[0], values[1], -values.sum()]
+                runner.add_explicit_beliefs({node: explicit[node]})
+            else:
+                edges = set()
+                while len(edges) < 2:
+                    a, b = (int(x) for x in rng.integers(graph.num_nodes,
+                                                         size=2))
+                    if a != b and not runner.graph.has_edge(a, b):
+                        edges.add((a, b))
+                runner.add_edges(sorted(edges))
+            fresh = sbp(runner.graph, coupling, explicit)
+            assert np.array_equal(runner.beliefs, fresh.beliefs)

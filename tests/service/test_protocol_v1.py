@@ -94,6 +94,15 @@ class TestV1Responses:
         for node, values in decoded.items():
             assert values == [float(v) for v in direct.beliefs[node]]
 
+    def test_repeated_belief_cell_keeps_the_last_value(self):
+        session = _session()
+        repeated = _query(session, limit=0, return_beliefs=True,
+                          beliefs=[[0, 0, 0.9], [0, 1, -0.9],
+                                   [0, 0, 0.2], [0, 1, -0.2]])
+        last = _query(session, limit=0, return_beliefs=True,
+                      beliefs=[[0, 0, 0.2], [0, 1, -0.2]])
+        assert repeated["beliefs"] == last["beliefs"]
+
     def test_ping_stats_and_shutdown(self):
         session = _session()
         response, _ = session.handle_line(_line(v=1, op="ping"))
@@ -148,19 +157,47 @@ class TestV1ErrorPaths:
         body_list = session.handle_line('[1, 2, 3]')[0]
         assert body_list.startswith("error ")
 
+    @pytest.mark.parametrize("op,fields", [
+        ("query", {"coupling": "h"}),
+        ("view", {"name": "w", "coupling": "h"}),
+        ("update", {"coupling": "h"}),
+    ], ids=["query", "view", "update"])
     @pytest.mark.parametrize("beliefs,fragment", [
-        ([[0, 0]], "triples"),                      # short row
-        ([[99, 0, 0.5]], "node 99 out of range"),   # node past the graph
-        ([[0, 7, 0.5]], "class 7 out of range"),    # class past the coupling
-    ])
-    def test_oversized_or_malformed_belief_rows(self, beliefs, fragment):
+        ("[[0, 0]]", "triples"),                      # short row
+        ("[[99, 0, 0.5]]", "node 99 out of range"),   # node past the graph
+        ("[[0, 7, 0.5]]", "class 7 out of range"),    # class past the coupling
+        ("[[0, 0, NaN]]", "belief value nan for node 0 class 0 is not finite"),
+        ("[[0, 0, 0.5], [1, 1, Infinity]]", "value inf for node 1 class 1"),
+        ("[[2, 1, -Infinity]]", "value -inf for node 2 class 1"),
+        ("[[0, 0, 1e309]]", "value inf for node 0 class 0"),  # overflows
+        ('[[0, 0, 0.5], ["1", "0", "NaN"]]', "not finite"),   # row by row
+    ], ids=["short-row", "node-range", "class-range", "nan", "infinity",
+            "minus-infinity", "overflow", "string-nan"])
+    def test_oversized_or_malformed_belief_rows(self, op, fields, beliefs,
+                                                fragment):
+        # The beliefs go in as raw JSON text: NaN, Infinity and 1e309 are
+        # what a client can put on the wire.
         session = _session()
-        body = json.loads(session.handle_line(_line(
-            v=1, op="query", graph="g", coupling="h",
-            beliefs=beliefs))[0])
+        line = _line(v=1, op=op, graph="g", **fields)[:-1] \
+            + f', "beliefs": {beliefs}}}'
+        body = json.loads(session.handle_line(line)[0])
         assert body["ok"] is False
         assert body["error"]["code"] == "validation"
         assert fragment in body["error"]["message"]
+        assert session.service.snapshot("g").version == 0
+        assert session.service.view_names("g") == []
+
+    def test_negative_limit_is_rejected(self):
+        session = _session()
+        body = _query(session, limit=-1)
+        assert body["error"]["code"] == "validation"
+        assert "limit must be >= 0" in body["error"]["message"]
+        session.handle_line(_line(v=1, op="view", graph="g", name="w",
+                                  coupling="h", beliefs=[[0, 0, 0.9]]))
+        body = json.loads(session.handle_line(_line(
+            v=1, op="read_view", graph="g", name="w", limit=-1))[0])
+        assert body["error"]["code"] == "validation"
+        assert _query(session, limit=0)["ok"] is True
 
     def test_validation_code_for_bad_spec(self):
         session = _session()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+
 import pytest
 
 from repro import BeliefMatrix
@@ -131,6 +133,24 @@ class TestLabelShardedCommand:
         assert single_exit == 0 and sharded_exit == 0
         # identical label assignments and identical convergence summary
         assert sharded_out.splitlines()[1:] == single_out.splitlines()[1:]
+
+    def test_tolerance_reaches_plain_and_sharded_runs(self, cli_files,
+                                                     capsys):
+        graph_path, beliefs_path, coupling_path, _ = cli_files
+        base = ["label", "--graph", str(graph_path), "--beliefs",
+                str(beliefs_path), "--coupling", str(coupling_path),
+                "--epsilon", "0.3"]
+        sharded = ["--shards", "2", "--shard-executor", "sequential"]
+
+        def iterations(flags):
+            assert main(base + flags) == 0
+            summary = capsys.readouterr().out.splitlines()[0]
+            return int(re.search(r"(\d+) iterations", summary).group(1))
+
+        loose = iterations(["--tolerance", "1e-4"])
+        assert iterations(["--tolerance", "1e-4"] + sharded) == loose
+        assert loose < iterations([])
+        assert iterations(sharded) == iterations([])
 
     def test_sharded_label_pool_executor_runs(self, cli_files, capsys):
         graph_path, beliefs_path, coupling_path, _ = cli_files
