@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Running LinBP and SBP inside a relational engine (Section 5.3 / 6.3).
+"""Running LinBP and SBP inside a SQL database (Section 5.3 / 6.3).
 
 The paper's practical pitch to the database community is that both LinBP and
 SBP need nothing beyond standard SQL: joins, group-by aggregates, and a loop.
-This example walks through that pipeline on the bundled in-memory relational
-engine:
+This example walks through that pipeline on the stdlib SQLite engine:
 
 1. load the network, explicit beliefs and coupling matrix into the relations
-   ``A(s,t,w)``, ``E(v,c,b)``, ``H(c1,c2,h)``,
-2. derive ``D(v,d)`` and ``H2(c1,c2,h)`` with aggregate queries (Eq. 20),
-3. run Algorithm 1 (LinBP) and Algorithm 2 (SBP),
-4. answer the final "top belief per node" query of Fig. 9b,
-5. apply an incremental label update with Algorithm 3 and show that only part
-   of the ``B`` relation changes.
+   ``edges(s,t,w)``, ``explicit(v,c,b)``, ``coupling(c1,c2,h)``, which also
+   derives ``degrees(v,d)`` and ``coupling_sq(c1,c2,h)`` with aggregate
+   queries (Eq. 20),
+2. run Algorithm 1 (LinBP) and Algorithm 2 (SBP) as SQL,
+3. answer the final "top belief per node" query of Fig. 9b in the database,
+4. apply an incremental label update with Algorithm 3 and show that only part
+   of the ``beliefs`` relation changes.
 
 Run with::
 
@@ -25,17 +25,7 @@ import numpy as np
 
 from repro import BeliefMatrix, fraud_matrix
 from repro.graphs import random_graph
-from repro.relational import (
-    RelationalSBP,
-    add_explicit_beliefs_sql,
-    adjacency_table,
-    coupling_squared_table,
-    coupling_table,
-    degree_table,
-    explicit_belief_table,
-    linbp_sql,
-    top_belief_query,
-)
+from repro.relational import SQLiteBackend
 
 CLASS_NAMES = ("honest", "accomplice", "fraudster")
 
@@ -47,56 +37,53 @@ def main() -> None:
                                         num_nodes=graph.num_nodes, num_classes=3,
                                         magnitude=0.1)
 
-    # Step 1-2: the base and derived relations.
-    relation_a = adjacency_table(graph)
-    relation_e = explicit_belief_table(explicit.residuals)
-    relation_h = coupling_table(coupling)
-    relation_d = degree_table(relation_a)
-    relation_h2 = coupling_squared_table(relation_h)
-    print("relations loaded:")
-    for relation in (relation_a, relation_e, relation_h, relation_d, relation_h2):
-        print(f"  {relation.name}({', '.join(relation.columns)}): "
-              f"{relation.num_rows} rows")
-    print()
+    with SQLiteBackend() as backend:
+        # Step 1: the base and derived relations.
+        backend.load_graph(graph, coupling, explicit.residuals)
+        counts = backend.table_counts()
+        print("relations loaded:")
+        for table in ("edges", "explicit", "coupling", "degrees",
+                      "coupling_sq"):
+            print(f"  {table}: {counts[table]} rows")
+        print()
 
-    # Step 3a: Algorithm 1 — LinBP with joins + aggregates, 10 iterations.
-    linbp_result = linbp_sql(graph, coupling, explicit.residuals,
-                             num_iterations=10)
-    print(f"Algorithm 1 (LinBP in SQL): {linbp_result.iterations} iterations, "
-          f"rows processed per iteration: "
-          f"{linbp_result.extra['rows_processed_per_iteration'][:3]} ...")
+        # Step 2a: Algorithm 1 — LinBP with joins + aggregates, 10 iterations.
+        linbp_result = backend.run_linbp(num_iterations=10)
+        print(f"Algorithm 1 (LinBP in SQL): {linbp_result.iterations} "
+              f"iterations, last belief change "
+              f"{linbp_result.residual_history[-1]:.2e}")
 
-    # Step 3b: Algorithm 2 — SBP, a single pass over geodesic levels.
-    sbp_runner = RelationalSBP(graph, coupling)
-    sbp_result = sbp_runner.run(explicit.residuals)
-    levels = sbp_result.extra["geodesic_numbers"]
-    print(f"Algorithm 2 (SBP in SQL): {int(levels.max())} geodesic levels, "
-          f"G relation holds {sbp_runner.relation_g.num_rows} nodes")
-    print()
+        # Step 2b: Algorithm 2 — SBP, a single pass over geodesic levels.
+        sbp_result = backend.run_sbp()
+        levels = sbp_result.extra["geodesic_numbers"]
+        print(f"Algorithm 2 (SBP in SQL): {sbp_result.iterations} geodesic "
+              f"levels, geodesic relation holds "
+              f"{backend.table_counts()['geodesic']} nodes")
+        print()
 
-    # Step 4: the Fig. 9b top-belief query on the SBP result.
-    top = top_belief_query(sbp_runner.relation_b)
-    print("sample of the top-belief query (Fig. 9b) on the SBP result:")
-    for node in sorted(top)[:8]:
-        classes = ", ".join(CLASS_NAMES[c] for c in sorted(top[node]))
-        print(f"  node {node:>3} -> {classes}")
-    print()
+        # Step 3: the Fig. 9b top-belief query, ranked inside the database.
+        print("sample of the top-belief query (Fig. 9b) on the SBP result:")
+        for node, label in list(backend.top_labels())[:8]:
+            print(f"  node {node:>3} (level {levels[node]}) -> "
+                  f"{CLASS_NAMES[label]}")
+        print()
 
-    # Step 5: Algorithm 3 — an analyst labels two more accounts.
-    update = BeliefMatrix.from_labels({40: 1, 64: 0}, num_nodes=graph.num_nodes,
-                                      num_classes=3, magnitude=0.1)
-    before = sbp_result.beliefs.copy()
-    updated = add_explicit_beliefs_sql(sbp_runner, update.residuals)
-    changed = np.count_nonzero(np.any(np.abs(updated.beliefs - before) > 1e-15,
-                                      axis=1))
-    print(f"Algorithm 3 (incremental labels): {updated.extra['nodes_updated']} nodes "
-          f"re-derived, {changed} beliefs actually changed "
-          f"out of {graph.num_nodes} nodes")
-    agreement = np.allclose(
-        updated.beliefs,
-        RelationalSBP(graph, coupling).run(explicit.residuals
-                                           + update.residuals).beliefs,
-        atol=1e-12)
+        # Step 4: Algorithm 3 — an analyst labels two more accounts.
+        update = BeliefMatrix.from_labels({40: 1, 64: 0},
+                                          num_nodes=graph.num_nodes,
+                                          num_classes=3, magnitude=0.1)
+        before = sbp_result.beliefs
+        updated = backend.add_explicit_beliefs(update.residuals)
+        changed = np.count_nonzero(np.any(updated.beliefs != before, axis=1))
+        print(f"Algorithm 3 (incremental labels): "
+              f"{updated.extra['nodes_updated']} nodes re-derived, {changed} "
+              f"beliefs actually changed out of {graph.num_nodes} nodes")
+
+    with SQLiteBackend() as scratch:
+        scratch.load_graph(graph, coupling,
+                           explicit.residuals + update.residuals)
+        agreement = np.allclose(updated.beliefs, scratch.run_sbp().beliefs,
+                                atol=1e-12)
     print(f"identical to recomputing from scratch: {agreement}")
 
 

@@ -13,8 +13,8 @@ The package implements, from scratch and on top of ``numpy``/``scipy`` only:
 * a shared propagation engine with cached per-graph plans and a batched,
   buffer-reuse iteration kernel that propagates many queries at once
   (:mod:`repro.engine`);
-* an in-memory relational engine plus the paper's SQL-style implementations
-  of LinBP and SBP (:mod:`repro.relational`);
+* the paper's SQL implementations of LinBP, SBP and ΔSBP, run on SQLite
+  or DuckDB (:mod:`repro.relational`);
 * a thread-safe propagation *service* that fronts both engines: versioned
   graph snapshots, micro-batched concurrent queries, TTL+LRU result
   caching and a ``repro serve`` line protocol (:mod:`repro.service`);

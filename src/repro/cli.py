@@ -33,8 +33,7 @@ The CLI mirrors how the paper's artifacts would be used from a shell:
 
 ``python -m repro sql-info``
     Report which SQL execution backends (``label --backend``) are usable:
-    the pure-Python reference, the stdlib SQLite engine, and the optional
-    DuckDB engine.
+    the stdlib SQLite engine and the optional DuckDB engine.
 
 ``python -m repro backends``
     Report which array backends (``label --dtype/--precision``) are
@@ -320,11 +319,10 @@ def _command_partition(args: argparse.Namespace) -> int:
 def _command_sql_info(args: argparse.Namespace) -> int:
     from repro.relational.backends import backend_info
 
-    print(f"{'backend':<10} {'status':<13} {'kind':<10} engine")
+    print(f"{'backend':<10} {'status':<13} engine")
     for entry in backend_info():
         status = "available" if entry["available"] else "unavailable"
-        print(f"{entry['name']:<10} {status:<13} {entry['kind']:<10} "
-              f"{entry['engine']}")
+        print(f"{entry['name']:<10} {status:<13} {entry['engine']}")
     return 0
 
 
@@ -641,10 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="pool",
                        help="run shards on a multiprocessing pool or "
                             "in-process (default: pool)")
-    label.add_argument("--backend", choices=["python", "sqlite", "duckdb"],
+    label.add_argument("--backend", choices=["sqlite", "duckdb"],
                        default=None,
-                       help="run the relational program on an execution "
-                            "backend instead of the in-memory engine "
+                       help="run the relational program on a SQL engine "
+                            "instead of the in-memory engine "
                             "(linbp/linbp*/sbp only; default: in-memory)")
     label.add_argument("--database", default=":memory:",
                        help="database for --backend sqlite/duckdb; a file "

@@ -1,9 +1,8 @@
 """Update notifications emitted by the incremental propagation runners.
 
 The maintained solvers — :class:`repro.core.sbp.SBP` (ΔSBP, Algorithms 3
-and 4), :class:`repro.core.incremental.IncrementalLinBP` (superposition /
-warm-start) and the relational ΔSBP functions in
-:mod:`repro.relational.sbp_incremental` — mutate state in place.  Layers
+and 4) and :class:`repro.core.incremental.IncrementalLinBP`
+(superposition / warm-start) — mutate state in place.  Layers
 stacked on top of them (most importantly the propagation service in
 :mod:`repro.service`, which versions graph snapshots) need to know *when*
 such a mutation happened so they can bump snapshot ids, invalidate result

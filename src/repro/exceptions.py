@@ -3,8 +3,8 @@
 All exceptions raised intentionally by this library derive from
 :class:`ReproError`, so callers can catch a single base class.  The more
 specific subclasses distinguish between malformed inputs (shape and value
-problems), algorithmic non-convergence, and misuse of the small relational
-engine that backs the SQL-style implementations.
+problems), algorithmic non-convergence, and problems with the SQL
+execution backends that run the relational implementations.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ class NotConvergentParametersError(ReproError, ValueError):
 
 
 class RelationalError(ReproError):
-    """Misuse of the in-memory relational engine (unknown column, bad join...)."""
+    """Base class for errors of the relational (SQL) implementations."""
 
 
 class SchemaError(RelationalError, ValueError):
-    """A relational operation referenced a column that does not exist."""
+    """A relational operation referenced a relation or column that does not
+    exist."""
 
 
 class BackendError(RelationalError):

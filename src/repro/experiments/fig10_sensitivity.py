@@ -19,10 +19,8 @@ from repro.core.linbp import linbp
 from repro.core.sbp import SBP
 from repro.datasets.kronecker_suite import kronecker_suite
 from repro.datasets.synthetic_labels import sample_explicit_beliefs, sample_explicit_nodes
-from repro.experiments.runner import ResultTable, timed
+from repro.experiments.runner import ResultTable, sbp_from_scratch, timed
 from repro.graphs.graph import Edge, Graph
-from repro.relational.sbp_incremental import add_edges_sql
-from repro.relational.sbp_sql import RelationalSBP
 
 __all__ = ["run_explicit_fraction_sweep", "run_incremental_edges"]
 
@@ -76,7 +74,9 @@ def run_incremental_edges(graph_index: int = 3, explicit_fraction: float = 0.10,
 
     With ``x`` % new edges, the initial SBP run sees the graph with those
     edges removed and Algorithm 4 then inserts them; the constant reference is
-    a full SBP run on the complete graph.
+    a full SBP run on the complete graph.  ``engine`` is ``"memory"`` or
+    ``"relational"`` (SQLite; a from-scratch run includes loading the
+    relations).
     """
     workload = kronecker_suite(max_index=graph_index, seed=seed)[graph_index - 1]
     full_graph = workload.graph
@@ -85,19 +85,13 @@ def run_incremental_edges(graph_index: int = 3, explicit_fraction: float = 0.10,
                                   seed=seed + 41)
     explicit = sample_explicit_beliefs(full_graph.num_nodes, 3, nodes, seed=seed + 42)
     table = ResultTable("Fig. 10b — incremental edge insertion vs SBP from scratch")
-    if engine == "relational":
-        _, scratch_seconds = timed(lambda: RelationalSBP(full_graph, coupling).run(explicit))
-    else:
-        _, scratch_seconds = timed(lambda: SBP(full_graph, coupling).run(explicit))
+    with sbp_from_scratch(engine, full_graph, coupling, explicit) \
+            as (_, scratch_seconds):
+        pass
     for fraction in fractions:
         reduced_graph, new_edges = _split_edges(full_graph, fraction, seed=seed + 43)
-        if engine == "relational":
-            runner = RelationalSBP(reduced_graph, coupling)
-            runner.run(explicit)
-            result, delta_seconds = timed(lambda: add_edges_sql(runner, new_edges))
-        else:
-            runner = SBP(reduced_graph, coupling)
-            runner.run(explicit)
+        with sbp_from_scratch(engine, reduced_graph, coupling, explicit) \
+                as (runner, _):
             result, delta_seconds = timed(lambda: runner.add_edges(new_edges))
         table.add_row(
             new_edge_fraction=float(fraction),

@@ -7,30 +7,25 @@ Algorithm 3 then adds the remaining ``x`` %.  Recomputing from scratch always
 costs the same, so the two curves cross; the paper observes the crossover
 around 50 % new labels.
 
-Both the relational implementations (as in the paper's SQL experiment) and
-the in-memory implementations are measured, so the crossover can be checked
-independently of the engine.  Since the vectorised-SBP refactor every
-variant routes through :mod:`repro.engine.sbp_plan`: the from-scratch runs
-sweep a cached :class:`~repro.engine.sbp_plan.SBPPlan` and the ΔSBP runs
-use its set-at-a-time frontier repairs (the relational engine through the
-same numeric core), so the crossover reflects algorithmic cost rather than
-Python interpretation overhead.
+Both the relational implementation (the paper's SQL experiment, on the
+stdlib SQLite backend) and the in-memory implementation are measured, so
+the crossover can be checked independently of the engine.  Both ΔSBP
+variants repair through the frontier repairs of
+:mod:`repro.engine.sbp_plan`; a relational from-scratch run includes
+loading the relations, a relational ΔSBP run does not.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.sbp import SBP
 from repro.datasets.kronecker_suite import kronecker_suite
 from repro.datasets.synthetic_labels import (
     sample_explicit_beliefs,
     sample_explicit_nodes,
     split_for_incremental_update,
 )
-from repro.experiments.runner import ResultTable, timed
-from repro.relational.sbp_incremental import add_explicit_beliefs_sql
-from repro.relational.sbp_sql import RelationalSBP
+from repro.experiments.runner import ResultTable, sbp_from_scratch, timed
 
 __all__ = ["run_incremental_beliefs"]
 
@@ -52,8 +47,8 @@ def run_incremental_beliefs(graph_index: int = 3, explicit_fraction: float = 0.1
     new_fractions:
         Fractions of those labels that arrive through the update.
     engine:
-        ``"relational"`` (paper's SQL setting) or ``"memory"`` for the
-        NumPy implementation.
+        ``"relational"`` (paper's SQL setting, on SQLite) or ``"memory"``
+        for the NumPy implementation.
     """
     workload = kronecker_suite(max_index=graph_index, seed=seed)[graph_index - 1]
     graph = workload.graph
@@ -62,21 +57,15 @@ def run_incremental_beliefs(graph_index: int = 3, explicit_fraction: float = 0.1
     full_explicit = sample_explicit_beliefs(graph.num_nodes, 3, nodes, seed=seed + 8)
     table = ResultTable("Fig. 7e — incremental DSBP vs SBP from scratch")
     # Cost of recomputing from scratch with all labels present (constant line).
-    if engine == "relational":
-        _, scratch_seconds = timed(lambda: RelationalSBP(graph, coupling).run(full_explicit))
-    else:
-        _, scratch_seconds = timed(lambda: SBP(graph, coupling).run(full_explicit))
+    with sbp_from_scratch(engine, graph, coupling, full_explicit) \
+            as (_, scratch_seconds):
+        pass
     for fraction in new_fractions:
         initial, update = split_for_incremental_update(full_explicit, fraction,
                                                        seed=seed + 11)
-        if engine == "relational":
-            runner = RelationalSBP(graph, coupling)
-            runner.run(initial)
-            result, delta_seconds = timed(lambda: add_explicit_beliefs_sql(runner, update))
-        else:
-            runner = SBP(graph, coupling)
-            runner.run(initial)
-            result, delta_seconds = timed(lambda: runner.add_explicit_beliefs(update))
+        with sbp_from_scratch(engine, graph, coupling, initial) as (runner, _):
+            result, delta_seconds = timed(
+                lambda: runner.add_explicit_beliefs(update))
         table.add_row(
             new_fraction=float(fraction),
             delta_sbp_seconds=delta_seconds,

@@ -9,16 +9,18 @@ usable from benchmarks, tests and the command line alike.
 :func:`propagate_batch` is the experiments' front door to the batched
 engine (:mod:`repro.engine`): timing and throughput studies that issue many
 queries against one graph should go through it rather than looping over
-:func:`repro.core.linbp.linbp`.
+:func:`repro.core.linbp.linbp`.  :func:`sbp_from_scratch` starts the ΔSBP
+experiments on either engine.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
-__all__ = ["ResultTable", "timed", "propagate_batch"]
+__all__ = ["ResultTable", "timed", "propagate_batch", "sbp_from_scratch"]
 
 
 def timed(function: Callable[[], Any]) -> Tuple[Any, float]:
@@ -44,6 +46,33 @@ def propagate_batch(graph, coupling, explicit_list: Sequence,
 
     plan = get_plan(graph, coupling, echo_cancellation=echo_cancellation)
     return run_batch(plan, explicit_list, **options)
+
+
+@contextmanager
+def sbp_from_scratch(engine: str, graph, coupling,
+                     explicit) -> Iterator[Tuple[Any, float]]:
+    """Run SBP from scratch; yield ``(runner, seconds)``.
+
+    ``engine="relational"`` loads the relations into an in-memory
+    :class:`~repro.relational.SQLiteBackend` and runs Algorithm 2 in SQL
+    (the load counts toward ``seconds``), closing the database on exit;
+    ``"memory"`` runs :class:`~repro.core.sbp.SBP`.  Either runner takes
+    ``add_explicit_beliefs`` (Algorithm 3) and ``add_edges`` (Algorithm 4).
+    """
+    start = time.perf_counter()
+    if engine == "relational":
+        from repro.relational import SQLiteBackend
+
+        with SQLiteBackend() as runner:
+            runner.load_graph(graph, coupling, explicit)
+            runner.run_sbp()
+            yield runner, time.perf_counter() - start
+        return
+    from repro.core.sbp import SBP
+
+    runner = SBP(graph, coupling)
+    runner.run(explicit)
+    yield runner, time.perf_counter() - start
 
 
 @dataclass

@@ -1,52 +1,26 @@
-"""In-memory relational engine and the paper's SQL-style LinBP/SBP programs."""
+"""The paper's relational LinBP/SBP/ΔSBP programs, run as real SQL.
 
-from repro.relational.engine import (
-    aggregate,
-    anti_join,
-    equi_join,
-    open_backend,
-    project,
-    run_propagation,
-    select,
-    union_all,
+:class:`~repro.relational.backends.SQLBackend` holds the one relational
+implementation (Algorithms 1–4 as portable SQL); SQLite and DuckDB supply
+the connection.  :func:`open_backend` and :func:`run_propagation` are the
+entry points.
+"""
+
+from repro.relational.backends import (
+    DuckDBBackend,
+    SQLBackend,
+    SQLiteBackend,
+    available_backends,
+    get_backend,
 )
-from repro.relational.linbp_sql import RelationalLinBP, linbp_sql
-from repro.relational.sbp_incremental import add_edges_sql, add_explicit_beliefs_sql
-from repro.relational.sbp_sql import RelationalSBP, sbp_sql
-from repro.relational.schema import (
-    adjacency_table,
-    beliefs_to_matrix,
-    coupling_squared_table,
-    coupling_table,
-    degree_table,
-    explicit_belief_table,
-    geodesic_to_vector,
-    top_belief_query,
-)
-from repro.relational.table import Table
+from repro.relational.engine import open_backend, run_propagation
 
 __all__ = [
-    "aggregate",
-    "anti_join",
-    "equi_join",
-    "project",
-    "select",
-    "union_all",
     "open_backend",
     "run_propagation",
-    "RelationalLinBP",
-    "linbp_sql",
-    "add_edges_sql",
-    "add_explicit_beliefs_sql",
-    "RelationalSBP",
-    "sbp_sql",
-    "adjacency_table",
-    "beliefs_to_matrix",
-    "coupling_squared_table",
-    "coupling_table",
-    "degree_table",
-    "explicit_belief_table",
-    "geodesic_to_vector",
-    "top_belief_query",
-    "Table",
+    "SQLBackend",
+    "SQLiteBackend",
+    "DuckDBBackend",
+    "get_backend",
+    "available_backends",
 ]

@@ -1,12 +1,9 @@
-"""Pluggable execution backends for the relational LinBP/SBP programs.
+"""SQL execution backends for the relational LinBP/SBP programs.
 
 The paper's claim (Section 5.3) is that linearized belief propagation needs
-nothing beyond standard SQL.  This package makes the claim executable three
-ways behind one interface:
+nothing beyond standard SQL.  This package makes the claim executable on
+two engines behind one class, :class:`SQLBackend`:
 
-* ``python`` — :class:`PythonTableBackend`, the paper's relational
-  algorithms over the in-memory :class:`~repro.relational.table.Table`
-  operators.  Always available; the reference point.
 * ``sqlite`` — :class:`SQLiteBackend`, real SQL over the stdlib
   :mod:`sqlite3`.  Always available on any supported CPython; supports
   disk-backed databases for graphs larger than RAM.
@@ -25,15 +22,12 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from repro.exceptions import UnknownBackendError
-from repro.relational.backends.base import PropagationBackend, SQLBackend
+from repro.relational.backends.base import SQLBackend
 from repro.relational.backends.duckdb_backend import DuckDBBackend
-from repro.relational.backends.python_backend import PythonTableBackend
 from repro.relational.backends.sqlite_backend import SQLiteBackend
 
 __all__ = [
-    "PropagationBackend",
     "SQLBackend",
-    "PythonTableBackend",
     "SQLiteBackend",
     "DuckDBBackend",
     "BACKENDS",
@@ -43,14 +37,13 @@ __all__ = [
 ]
 
 #: Registry of every known backend, in preference order.
-BACKENDS: Dict[str, Type[PropagationBackend]] = {
-    "python": PythonTableBackend,
+BACKENDS: Dict[str, Type[SQLBackend]] = {
     "sqlite": SQLiteBackend,
     "duckdb": DuckDBBackend,
 }
 
 
-def get_backend(name: str, database: str = ":memory:") -> PropagationBackend:
+def get_backend(name: str, database: str = ":memory:") -> SQLBackend:
     """Instantiate the backend registered under ``name``.
 
     Raises :class:`UnknownBackendError` for names outside the registry (the
@@ -75,13 +68,7 @@ def available_backends() -> List[str]:
 
 def backend_info() -> List[Dict[str, object]]:
     """Capability report for every registered backend (``repro sql-info``)."""
-    report = []
-    for name, backend_class in BACKENDS.items():
-        report.append({
-            "name": name,
-            "available": bool(backend_class.is_available()),
-            "engine": backend_class.engine_version(),
-            "kind": "sql" if issubclass(backend_class, SQLBackend)
-                    else "in-memory",
-        })
-    return report
+    return [{"name": name,
+             "available": bool(backend_class.is_available()),
+             "engine": backend_class.engine_version()}
+            for name, backend_class in BACKENDS.items()]

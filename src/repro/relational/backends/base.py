@@ -1,12 +1,12 @@
-"""Backend interface plus the shared SQL program for real database engines.
+"""The shared SQL program and its generic DB-API driver.
 
 The paper's headline systems claim (Section 5.3, Section 6.3) is that LinBP
 and SBP need nothing beyond standard SQL: joins, GROUP BY aggregates, and a
-client loop.  :class:`PropagationBackend` is the engine-neutral interface —
-``connect`` / ``load_graph`` / ``run_linbp`` / ``run_sbp`` /
-``fetch_beliefs`` — and :class:`SQLBackend` is its generic DB-API driver:
-every query the sweeps need is plain portable SQL, so the concrete SQLite
-and DuckDB backends only supply a connection and a version string.
+client loop.  :class:`SQLBackend` is the one relational implementation of
+that claim — ``connect`` / ``load_graph`` / ``run_linbp`` / ``run_sbp`` /
+``add_explicit_beliefs`` / ``add_edges`` / ``fetch_beliefs`` — and every
+query it issues is plain portable SQL, so the concrete SQLite and DuckDB
+backends only supply a connection and a version string.
 
 The compiled SQL program per algorithm:
 
@@ -17,16 +17,23 @@ The compiled SQL program per algorithm:
   negated echo term ``D ⋈ B ⋈ Ĥ²``, grouped on ``(v, c)``.  The stopping
   test ``MAX(ABS(b − b_prev))`` also runs in SQL, so convergence is decided
   without shipping beliefs to Python.
-* **SBP** (Algorithm 2) — geodesic numbers via a recursive CTE (breadth
-  bounded by ``n``, then ``MIN(g) GROUP BY v``), followed by one INSERT per
-  level whose per-node segment sums are window functions
+* **SBP** (Algorithm 2) — level by level, as lines 4–5 do: per geodesic
+  level one ``INSERT … SELECT`` adds the unvisited neighbours of the level
+  below (an anti-join on ``geodesic``), then one INSERT fills their
+  beliefs, whose per-node segment sums are window functions
   (``SUM(...) OVER (PARTITION BY target, class)`` — the SQL analogue of the
   per-level parent sum in :mod:`repro.engine.sbp_plan`).
+* **ΔSBP** (Algorithms 3–4) — the SBP relations are read once, repaired by
+  the engine's frontier repairs
+  (:func:`~repro.engine.sbp_plan.repair_explicit_beliefs` /
+  :func:`~repro.engine.sbp_plan.repair_added_edges`, the code that also
+  maintains :class:`repro.core.sbp.SBP`), and only the touched rows are
+  written back, in one transaction.
 
 Beliefs live in the database for the whole run: with ``materialize=False``
-(and :meth:`top_labels`, which ranks beliefs with a window function) a graph
-streamed onto disk is labeled without ever building the dense ``n × k``
-belief matrix in Python — the out-of-core path the ROADMAP asks for.
+(and :meth:`SQLBackend.top_labels`, which ranks beliefs with a window
+function) a graph streamed onto disk is labeled without ever building the
+dense ``n × k`` belief matrix in Python — the out-of-core path.
 """
 
 from __future__ import annotations
@@ -37,13 +44,20 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.results import PropagationResult
 from repro.coupling.matrices import CouplingMatrix
+from repro.engine.sbp_plan import (
+    RepairStats,
+    repair_added_edges,
+    repair_explicit_beliefs,
+)
 from repro.exceptions import BackendStateError, ValidationError
-from repro.graphs.graph import Graph
+from repro.graphs.geodesic import UNREACHABLE
+from repro.graphs.graph import EdgeLike, Graph
 
-__all__ = ["PropagationBackend", "SQLBackend", "INSERT_CHUNK_ROWS"]
+__all__ = ["SQLBackend", "INSERT_CHUNK_ROWS"]
 
 #: Rows per ``executemany`` chunk while streaming edges/beliefs into the
 #: database — bounds Python-side memory regardless of graph size.
@@ -60,108 +74,6 @@ def _chunks(rows: Iterable[Sequence[Any]], size: int = INSERT_CHUNK_ROWS
         yield chunk
 
 
-class PropagationBackend(abc.ABC):
-    """Engine-neutral execution backend for the relational LinBP/SBP programs.
-
-    Concrete backends: the pure-Python :class:`~repro.relational.backends.
-    python_backend.PythonTableBackend` (the paper's algorithms over the
-    in-memory :class:`~repro.relational.table.Table` operators) and the real
-    database :class:`SQLBackend` subclasses.  All of them implement the same
-    zero-start LinBP semantics as :func:`repro.engine.batch.run_batch` and
-    the same single-sweep SBP semantics as
-    :func:`repro.engine.sbp_plan.run_sbp_batch`, so results — beliefs,
-    iteration counts, convergence flags — are interchangeable across
-    backends and with the in-memory engines.
-    """
-
-    #: Registry name ("python", "sqlite", "duckdb").
-    name: str = "?"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this backend can actually run in the current environment."""
-        return True
-
-    @classmethod
-    def engine_version(cls) -> str:
-        """Human-readable version of the underlying engine."""
-        return "unknown"
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def connect(self) -> "PropagationBackend":
-        """Open the backend (no-op for in-memory backends); returns self."""
-        return self
-
-    def close(self) -> None:
-        """Release any held resources (idempotent)."""
-
-    def __enter__(self) -> "PropagationBackend":
-        return self.connect()
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # data loading and execution
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def load_graph(self, graph: Graph, coupling: CouplingMatrix,
-                   explicit_residuals: np.ndarray) -> None:
-        """Load a graph, coupling and explicit beliefs, replacing any state."""
-
-    @abc.abstractmethod
-    def run_linbp(self, max_iterations: int = 100, tolerance: float = 1e-10,
-                  num_iterations: Optional[int] = None,
-                  echo_cancellation: bool = True,
-                  materialize: bool = True) -> PropagationResult:
-        """Run LinBP sweeps to convergence (``run_batch`` semantics)."""
-
-    @abc.abstractmethod
-    def run_sbp(self, materialize: bool = True) -> PropagationResult:
-        """Run the single-pass assignment (``run_sbp_batch`` semantics)."""
-
-    @abc.abstractmethod
-    def fetch_beliefs(self) -> np.ndarray:
-        """The current beliefs as a dense ``n × k`` matrix."""
-
-    @abc.abstractmethod
-    def top_labels(self) -> Iterator[Tuple[int, int]]:
-        """Stream ``(node, argmax class)`` pairs without densifying beliefs.
-
-        Nodes whose belief row is entirely zero (unreached, unlabeled) are
-        omitted — the streaming analogue of the ``−1`` rows of
-        :meth:`repro.core.results.PropagationResult.hard_labels`.
-        """
-
-    # ------------------------------------------------------------------ #
-    # shared validation
-    # ------------------------------------------------------------------ #
-    @property
-    @abc.abstractmethod
-    def is_loaded(self) -> bool:
-        """True once a graph has been loaded (or restored from disk)."""
-
-    def _require_loaded(self) -> None:
-        if not self.is_loaded:
-            raise BackendStateError(
-                f"backend {self.name!r} has no graph loaded; call "
-                "load_graph() (or open a database that already holds one) "
-                "before running sweeps or fetching beliefs")
-
-    @staticmethod
-    def _check_iteration_args(max_iterations: int, tolerance: float,
-                              num_iterations: Optional[int]) -> int:
-        if max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
-        if num_iterations is not None and num_iterations < 1:
-            raise ValidationError("num_iterations must be >= 1")
-        return num_iterations if num_iterations is not None else max_iterations
-
-
 # ---------------------------------------------------------------------- #
 # the shared SQL program
 # ---------------------------------------------------------------------- #
@@ -169,9 +81,12 @@ class PropagationBackend(abc.ABC):
 # E(v,c,b), coupling == H(c1,c2,h) holding the *scaled* residual coupling,
 # plus the derived degrees == D(v,d) and coupling_sq == H2.  ``beliefs`` /
 # ``beliefs_prev`` are the ping-pong pair of the iteration, dense over
-# nodes x classes exactly like the engine's buffers.
+# nodes x classes exactly like the engine's buffers; ``geodesic`` == G(v,g)
+# holds the geodesic numbers of the last SBP run.
 _TABLES = ("meta", "nodes", "classes", "edges", "explicit", "coupling",
            "coupling_sq", "degrees", "beliefs", "beliefs_prev", "geodesic")
+
+_INDEXES = ("idx_edges_s", "idx_edges_t", "idx_geodesic_g")
 
 _CREATE_SCHEMA = [
     "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)",
@@ -193,6 +108,7 @@ _CREATE_SCHEMA = [
     "CREATE TABLE geodesic (v INTEGER PRIMARY KEY, g INTEGER NOT NULL)",
     "CREATE INDEX idx_edges_s ON edges (s)",
     "CREATE INDEX idx_edges_t ON edges (t)",
+    "CREATE INDEX idx_geodesic_g ON geodesic (g)",
 ]
 
 #: 0..n-1 without client-side row generation (works in SQLite and DuckDB).
@@ -270,27 +186,27 @@ FROM beliefs JOIN beliefs_prev
     ON beliefs_prev.v = beliefs.v AND beliefs_prev.c = beliefs.c
 """
 
-#: Geodesic numbers as a recursive CTE: breadth-first walks from the labeled
-#: seeds, deduplicated per (node, depth) by UNION and bounded by n (every
-#: true geodesic number is < n), then collapsed to the minimum depth.  This
-#: is Lemma 17's level partition computed entirely inside the database.
-_GEODESIC_CTE = """
-INSERT INTO geodesic (v, g)
-WITH RECURSIVE walk(v, g) AS (
-    SELECT DISTINCT v, 0 FROM explicit
-    UNION
-    SELECT e.t, walk.g + 1
-    FROM walk JOIN edges AS e ON e.s = walk.v
-    WHERE walk.g + 1 < ?
-)
-SELECT v, MIN(g) FROM walk GROUP BY v
-"""
-
-#: Level 0 of Algorithm 2: labeled nodes take their explicit beliefs.
+#: Level 0 of Algorithm 2 (line 1): labeled nodes get geodesic number 0
+#: and keep their explicit beliefs.
 _SBP_SEED = [
+    "DELETE FROM geodesic",
+    "INSERT INTO geodesic (v, g) SELECT DISTINCT v, 0 FROM explicit",
     "DELETE FROM beliefs",
     "INSERT INTO beliefs (v, c, b) SELECT v, c, b FROM explicit",
 ]
+
+#: Algorithm 2, line 4: G(t, i) :- G(s, i−1), A(s, t, _), ¬G(t, _).  The
+#: unvisited neighbours of level i−1 form level i; the index on g keeps the
+#: scan of level i−1 to that level, so all levels together read every edge
+#: once.  Parameters: (i, i − 1).
+_GEODESIC_LEVEL_SQL = """
+INSERT INTO geodesic (v, g)
+SELECT DISTINCT e.t, CAST(? AS INTEGER)
+FROM geodesic AS prev
+JOIN edges AS e ON e.s = prev.v
+WHERE prev.g = ?
+  AND NOT EXISTS (SELECT 1 FROM geodesic AS seen WHERE seen.v = e.t)
+"""
 
 #: One geodesic level of Algorithm 2, line 5.  The per-(node, class) segment
 #: sum over qualifying parent edges — parents exactly one level below, each
@@ -326,23 +242,54 @@ WHERE pick = 1 AND magnitude > 0
 ORDER BY v
 """
 
+#: The degree of one node, recomputed from its edge rows (ΔSBP edge
+#: inserts keep D current for later LinBP runs).
+_REFRESH_DEGREE = [
+    "DELETE FROM degrees WHERE v = ?",
+    "INSERT INTO degrees (v, d) SELECT s, SUM(w * w) FROM edges "
+    "WHERE s = ? GROUP BY s",
+]
 
-class SQLBackend(PropagationBackend):
+
+def _scatter(rows: List[Tuple], shape: Tuple[int, ...],
+             fill: float = 0.0, dtype=float) -> np.ndarray:
+    """Dense array of ``shape`` from ``(index..., value)`` rows."""
+    dense = np.full(shape, fill, dtype=dtype)
+    if rows:
+        table = np.array(rows, dtype=float)
+        index = tuple(table[:, axis].astype(np.int64)
+                      for axis in range(len(shape)))
+        dense[index] = table[:, -1]
+    return dense
+
+
+class SQLBackend(abc.ABC):
     """Generic DB-API 2.0 driver for the shared SQL program.
 
+    Runs the same zero-start LinBP semantics as
+    :func:`repro.engine.batch.run_batch`, the same single-sweep SBP
+    semantics as :func:`repro.engine.sbp_plan.run_sbp_batch` and the same
+    ΔSBP repairs as :class:`repro.core.sbp.SBP`, so results — beliefs,
+    geodesic numbers, iteration counts, convergence flags — are
+    interchangeable with the in-memory engines.
+
     Subclasses provide :meth:`_open` (a new connection in autocommit mode —
-    the driver manages transactions explicitly with BEGIN/COMMIT/ROLLBACK)
-    and :meth:`engine_version`.  Everything else — schema, loading, the
-    LinBP/SBP sweeps, convergence, label extraction — is portable SQL
-    shared by SQLite and DuckDB.
+    the driver manages transactions explicitly with BEGIN/COMMIT/ROLLBACK),
+    :meth:`is_available` and :meth:`engine_version`.  Everything else —
+    schema, loading, the sweeps, convergence, the incremental updates,
+    label extraction — is portable SQL shared by SQLite and DuckDB.
 
     Parameters
     ----------
     database:
         ``":memory:"`` (default) or a filesystem path.  A path persists the
-        graph and beliefs: reopening the same path restores the loaded
-        state without calling :meth:`load_graph` again.
+        graph, beliefs and geodesic numbers: reopening the same path
+        restores the loaded state without calling :meth:`load_graph` again,
+        and an SBP result reopened that way still takes ΔSBP updates.
     """
+
+    #: Registry name ("sqlite", "duckdb").
+    name: str = "?"
 
     def __init__(self, database: str = ":memory:"):
         self.database = str(database)
@@ -350,6 +297,9 @@ class SQLBackend(PropagationBackend):
         self.num_nodes: Optional[int] = None
         self.num_classes: Optional[int] = None
         self.epsilon: Optional[float] = None
+        #: Method of the last completed run ("linbp", "linbp*", "sbp"), or
+        #: None; persisted in ``meta`` so ΔSBP survives a reopen.
+        self.last_run: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # dialect hooks
@@ -357,6 +307,11 @@ class SQLBackend(PropagationBackend):
     @abc.abstractmethod
     def _open(self):
         """Open and return a DB-API connection in autocommit mode."""
+
+    @classmethod
+    @abc.abstractmethod
+    def is_available(cls) -> bool:
+        """Whether this backend can actually run in the current environment."""
 
     @classmethod
     @abc.abstractmethod
@@ -374,13 +329,50 @@ class SQLBackend(PropagationBackend):
         return self
 
     def close(self) -> None:
+        """Release the connection (idempotent)."""
         if self._connection is not None:
             self._connection.close()
             self._connection = None
 
+    def __enter__(self) -> "SQLBackend":
+        return self.connect()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.close()
+
     @property
     def is_loaded(self) -> bool:
+        """True once a graph has been loaded (or restored from disk)."""
         return self.num_nodes is not None
+
+    # ------------------------------------------------------------------ #
+    # validation
+    # ------------------------------------------------------------------ #
+    def _require_loaded(self) -> None:
+        if not self.is_loaded:
+            raise BackendStateError(
+                f"backend {self.name!r} has no graph loaded; call "
+                "load_graph() (or open a database that already holds one) "
+                "before running sweeps or fetching beliefs")
+
+    def _require_sbp_state(self) -> None:
+        self._require_loaded()
+        if self.last_run != "sbp":
+            raise BackendStateError(
+                f"backend {self.name!r}: incremental SBP updates repair the "
+                f"result of run_sbp(), but the last run was "
+                f"{self.last_run or 'none'}; call run_sbp() first")
+
+    @staticmethod
+    def _check_iteration_args(max_iterations: int, tolerance: float,
+                              num_iterations: Optional[int]) -> int:
+        if max_iterations < 1:
+            raise ValidationError("max_iterations must be >= 1")
+        if tolerance <= 0:
+            raise ValidationError("tolerance must be positive")
+        if num_iterations is not None and num_iterations < 1:
+            raise ValidationError("num_iterations must be >= 1")
+        return num_iterations if num_iterations is not None else max_iterations
 
     # ------------------------------------------------------------------ #
     # low-level execution helpers
@@ -402,9 +394,9 @@ class SQLBackend(PropagationBackend):
     def _transaction(self):
         """All-or-nothing execution: roll the database back on any error.
 
-        A sweep that fails mid-iteration must not leave half-updated
+        A sweep or repair that fails midway must not leave half-updated
         beliefs behind — the previous consistent state (freshly loaded, or
-        the last completed run) survives the rollback.
+        the last completed run or update) survives the rollback.
         """
         cursor = self._cursor()
         cursor.execute("BEGIN")
@@ -432,6 +424,13 @@ class SQLBackend(PropagationBackend):
             self.num_nodes = int(values["num_nodes"])
             self.num_classes = int(values["num_classes"])
             self.epsilon = float(values.get("epsilon", "nan"))
+            self.last_run = values.get("last_run") or None
+
+    @staticmethod
+    def _record_run(cursor, method: str) -> None:
+        cursor.execute("DELETE FROM meta WHERE key = 'last_run'")
+        cursor.execute("INSERT INTO meta (key, value) VALUES ('last_run', ?)",
+                       (method,))
 
     # ------------------------------------------------------------------ #
     # loading
@@ -471,8 +470,8 @@ class SQLBackend(PropagationBackend):
         with self._transaction() as cursor:
             for table in _TABLES:
                 cursor.execute(f"DROP TABLE IF EXISTS {table}")
-            cursor.execute("DROP INDEX IF EXISTS idx_edges_s")
-            cursor.execute("DROP INDEX IF EXISTS idx_edges_t")
+            for index in _INDEXES:
+                cursor.execute(f"DROP INDEX IF EXISTS {index}")
             for statement in _CREATE_SCHEMA:
                 cursor.execute(statement)
             cursor.execute(_FILL_NODES, (num_nodes, num_nodes))
@@ -503,6 +502,7 @@ class SQLBackend(PropagationBackend):
         self.num_nodes = int(num_nodes)
         self.num_classes = k
         self.epsilon = float(coupling.epsilon)
+        self.last_run = None
 
     # ------------------------------------------------------------------ #
     # LinBP
@@ -524,6 +524,7 @@ class SQLBackend(PropagationBackend):
                                             num_iterations)
         self._require_loaded()
         fixed_iterations = num_iterations is not None
+        method = "linbp" if echo_cancellation else "linbp*"
         update_sql = LINBP_UPDATE_SQL if echo_cancellation \
             else LINBP_STAR_UPDATE_SQL
         history: List[float] = []
@@ -544,6 +545,8 @@ class SQLBackend(PropagationBackend):
                 if not fixed_iterations and change < tolerance:
                     converged = True
                     break
+            self._record_run(cursor, method)
+        self.last_run = method
         if fixed_iterations:
             converged = bool(history and history[-1] < tolerance)
         beliefs = self.fetch_beliefs() if materialize \
@@ -564,43 +567,184 @@ class SQLBackend(PropagationBackend):
         )
 
     # ------------------------------------------------------------------ #
-    # SBP
+    # SBP (Algorithm 2)
     # ------------------------------------------------------------------ #
     def run_sbp(self, materialize: bool = True) -> PropagationResult:
         """Run the single-pass assignment (Algorithm 2) inside the database.
 
-        Geodesic numbers come from the recursive CTE; each level ``g ≥ 1``
-        is one window-function INSERT reading only the edges from level
-        ``g − 1`` (every edge propagates at most once — the "single pass").
-        Matches :func:`repro.engine.sbp_plan.run_sbp_batch`: level-0 nodes
-        keep their explicit beliefs, unreachable nodes stay zero.
+        Level ``i ≥ 1`` is one INSERT of the unvisited neighbours of level
+        ``i − 1`` into ``geodesic`` and one window-function INSERT of their
+        beliefs, reading only the edges from level ``i − 1`` (every edge
+        propagates at most once — the "single pass"); the run stops at the
+        first empty level.  Matches
+        :func:`repro.engine.sbp_plan.run_sbp_batch`: level-0 nodes keep
+        their explicit beliefs, unreachable nodes stay zero.
         """
         self._require_loaded()
         with self._transaction() as cursor:
-            cursor.execute("DELETE FROM geodesic")
-            cursor.execute(_GEODESIC_CTE, (max(self.num_nodes, 1),))
             for statement in _SBP_SEED:
                 cursor.execute(statement)
-            cursor.execute("SELECT MAX(g) FROM geodesic")
-            row = cursor.fetchone()
-            max_level = int(row[0]) if row and row[0] is not None else -1
-            for level in range(1, max_level + 1):
+            level = 0
+            while True:
+                cursor.execute(_GEODESIC_LEVEL_SQL, (level + 1, level))
+                cursor.execute("SELECT COUNT(*) FROM geodesic WHERE g = ?",
+                               (level + 1,))
+                if not cursor.fetchone()[0]:
+                    break
+                level += 1
                 cursor.execute(SBP_LEVEL_SQL, (level,))
+            self._record_run(cursor, "sbp")
+        self.last_run = "sbp"
         beliefs = self.fetch_beliefs() if materialize \
             else np.zeros((0, self.num_classes))
+        return self._sbp_result(beliefs, self.fetch_geodesic_numbers(),
+                                materialized=bool(materialize))
+
+    def _sbp_result(self, beliefs: np.ndarray, geodesic: np.ndarray,
+                    **extra: object) -> PropagationResult:
         return PropagationResult(
             beliefs=beliefs,
             method=f"SBP ({self.name})",
-            iterations=max(0, max_level),
+            iterations=max(0, int(geodesic.max())) if geodesic.size else 0,
             converged=True,
             residual_history=[],
             extra={"engine": f"sql-{self.name}",
                    "backend": self.name,
                    "database": self.database,
-                   "geodesic_numbers": self.fetch_geodesic_numbers(),
+                   "geodesic_numbers": geodesic,
                    "epsilon": self.epsilon,
-                   "materialized": bool(materialize)},
+                   **extra},
         )
+
+    # ------------------------------------------------------------------ #
+    # ΔSBP (Algorithms 3 and 4)
+    # ------------------------------------------------------------------ #
+    def add_explicit_beliefs(self, new_residuals: np.ndarray
+                             ) -> PropagationResult:
+        """Algorithm 3: fold new (or changed) explicit beliefs into SBP.
+
+        ``new_residuals`` is an ``n × k`` matrix whose non-zero rows are the
+        new explicit beliefs ``E_n``.  The SBP state of the last
+        :meth:`run_sbp` is repaired outwards from those nodes, and only the
+        repaired ``geodesic``/``beliefs`` rows plus the new ``explicit``
+        rows are written back, in one transaction.  ``extra
+        ['nodes_updated']`` counts the repaired nodes, as
+        :meth:`repro.core.sbp.SBP.add_explicit_beliefs` does.
+        """
+        self._require_sbp_state()
+        matrix = np.asarray(new_residuals, dtype=float)
+        if matrix.shape != (self.num_nodes, self.num_classes):
+            raise ValidationError(
+                f"new beliefs must be {self.num_nodes} x {self.num_classes}, "
+                f"got {matrix.shape}")
+        nodes = np.nonzero(np.any(matrix != 0.0, axis=1))[0]
+        graph, geodesic, beliefs, explicit, residual = self._sbp_state()
+        if nodes.size == 0:
+            return self._sbp_result(beliefs, geodesic, nodes_updated=0)
+        stats = repair_explicit_beliefs(graph.adjacency, geodesic, beliefs,
+                                        explicit, residual, nodes,
+                                        matrix[nodes])
+        with self._transaction() as cursor:
+            cursor.executemany("DELETE FROM explicit WHERE v = ?",
+                               [(int(node),) for node in nodes])
+            cursor.executemany(
+                "INSERT INTO explicit (v, c, b) VALUES (?, ?, ?)",
+                self._rows(matrix, nodes))
+            self._write_repair(cursor, stats, geodesic, beliefs)
+        return self._sbp_result(beliefs, geodesic,
+                                nodes_updated=stats.nodes_updated)
+
+    def add_edges(self, new_edges: Iterable[EdgeLike]) -> PropagationResult:
+        """Algorithm 4: fold new edges into the SBP result.
+
+        Edges are ``(source, target)`` pairs, ``(source, target, weight)``
+        triples or :class:`~repro.graphs.graph.Edge` objects, validated by
+        :meth:`Graph.with_edges_added` (weights of an existing pair add
+        up) before anything is written.  Geodesic numbers and beliefs are
+        repaired outwards from the endpoints whose shortest paths the new
+        edges change; the changed ``edges`` rows, the endpoints' ``degrees``
+        and the repaired rows are written back in one transaction, so a
+        later :meth:`run_linbp` sweeps the grown graph.
+        """
+        self._require_sbp_state()
+        edges = list(new_edges)
+        graph, geodesic, beliefs, explicit, residual = self._sbp_state()
+        if not edges:
+            return self._sbp_result(beliefs, geodesic, nodes_updated=0)
+        grown = graph.with_edges_added(edges)
+        # The directed pairs whose weight changed (the new edges, both
+        # ways), with their weights in the grown graph.
+        changed = grown.adjacency.multiply(
+            grown.adjacency != graph.adjacency).tocoo()
+        if changed.nnz == 0:
+            return self._sbp_result(beliefs, geodesic, nodes_updated=0)
+        sources = changed.row.astype(np.int64)
+        stats = repair_added_edges(grown.adjacency, geodesic, beliefs,
+                                   explicit, residual, sources,
+                                   changed.col.astype(np.int64))
+        pairs = list(zip(sources.tolist(), changed.col.tolist()))
+        endpoints = [(node,) for node in np.unique(sources).tolist()]
+        with self._transaction() as cursor:
+            cursor.executemany("DELETE FROM edges WHERE s = ? AND t = ?",
+                               pairs)
+            cursor.executemany(
+                "INSERT INTO edges (s, t, w) VALUES (?, ?, ?)",
+                [(s, t, w) for (s, t), w in zip(pairs, changed.data.tolist())])
+            for statement in _REFRESH_DEGREE:
+                cursor.executemany(statement, endpoints)
+            self._write_repair(cursor, stats, geodesic, beliefs)
+        return self._sbp_result(beliefs, geodesic,
+                                nodes_updated=stats.nodes_updated)
+
+    def _sbp_state(self) -> Tuple[Graph, np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+        """The relations ΔSBP repairs, read once into arrays.
+
+        Returns ``(graph, geodesic, beliefs, explicit, residual)``: the
+        graph rebuilt from ``edges``, the geodesic numbers, dense beliefs
+        and explicit beliefs, and the scaled residual coupling.
+        """
+        n, k = self.num_nodes, self.num_classes
+        rows = self._execute("SELECT s, t, w FROM edges").fetchall()
+        table = np.array(rows, dtype=float).reshape(-1, 3)
+        adjacency = sp.csr_matrix(
+            (table[:, 2], (table[:, 0].astype(np.int64),
+                           table[:, 1].astype(np.int64))), shape=(n, n))
+        explicit = _scatter(
+            self._execute("SELECT v, c, b FROM explicit").fetchall(), (n, k))
+        residual = _scatter(
+            self._execute("SELECT c1, c2, h FROM coupling").fetchall(), (k, k))
+        return (Graph(adjacency, validate=False),
+                self.fetch_geodesic_numbers(), self.fetch_beliefs(), explicit,
+                residual)
+
+    @staticmethod
+    def _rows(matrix: np.ndarray, nodes: np.ndarray
+              ) -> List[Tuple[int, int, float]]:
+        """``(node, class, value)`` rows of ``matrix`` for ``nodes``."""
+        return [(node, klass, value)
+                for node, values in zip(nodes.tolist(),
+                                        matrix[nodes].tolist())
+                for klass, value in enumerate(values)]
+
+    def _write_repair(self, cursor, stats: RepairStats, geodesic: np.ndarray,
+                      beliefs: np.ndarray) -> None:
+        """Rewrite the ``geodesic`` and ``beliefs`` rows of touched nodes.
+
+        A repair only shortens geodesic paths, so every touched node is
+        reached and keeps one belief row per class, as after run_sbp.
+        """
+        touched = stats.touched
+        if touched.size == 0:
+            return
+        keys = [(node,) for node in touched.tolist()]
+        cursor.executemany("DELETE FROM geodesic WHERE v = ?", keys)
+        cursor.executemany("DELETE FROM beliefs WHERE v = ?", keys)
+        cursor.executemany(
+            "INSERT INTO geodesic (v, g) VALUES (?, ?)",
+            list(zip(touched.tolist(), geodesic[touched].tolist())))
+        cursor.executemany("INSERT INTO beliefs (v, c, b) VALUES (?, ?, ?)",
+                           self._rows(beliefs, touched))
 
     # ------------------------------------------------------------------ #
     # reading results back
@@ -608,19 +752,14 @@ class SQLBackend(PropagationBackend):
     def fetch_beliefs(self) -> np.ndarray:
         """The beliefs relation as a dense ``n × k`` matrix (zeros default)."""
         self._require_loaded()
-        matrix = np.zeros((self.num_nodes, self.num_classes))
-        cursor = self._execute("SELECT v, c, b FROM beliefs")
-        for v, c, b in cursor:
-            matrix[v, c] = b
-        return matrix
+        return _scatter(self._execute("SELECT v, c, b FROM beliefs").fetchall(),
+                        (self.num_nodes, self.num_classes))
 
     def fetch_geodesic_numbers(self) -> np.ndarray:
         """Geodesic numbers per node (−1 for unreached), from the last SBP run."""
         self._require_loaded()
-        numbers = np.full(self.num_nodes, -1, dtype=np.int64)
-        for v, g in self._execute("SELECT v, g FROM geodesic"):
-            numbers[v] = g
-        return numbers
+        return _scatter(self._execute("SELECT v, g FROM geodesic").fetchall(),
+                        (self.num_nodes,), fill=UNREACHABLE, dtype=np.int64)
 
     def iter_beliefs(self) -> Iterator[Tuple[int, int, float]]:
         """Stream ``(node, class, belief)`` rows straight off the cursor."""
@@ -629,6 +768,12 @@ class SQLBackend(PropagationBackend):
             yield int(v), int(c), float(b)
 
     def top_labels(self) -> Iterator[Tuple[int, int]]:
+        """Stream ``(node, argmax class)`` pairs without densifying beliefs.
+
+        Nodes whose belief row is entirely zero (unreached, unlabeled) are
+        omitted — the streaming analogue of the ``−1`` rows of
+        :meth:`repro.core.results.PropagationResult.hard_labels`.
+        """
         self._require_loaded()
         for v, c in self._execute(_TOP_LABELS):
             yield int(v), int(c)

@@ -1,255 +1,35 @@
-"""Relational operators: selection, projection, joins, aggregation.
+"""One-call entry points onto the SQL execution backends.
 
-Together with :class:`repro.relational.table.Table` this forms the substrate
-on which the paper's SQL programs (Algorithms 1–4 and the queries of Fig. 9)
-are expressed.  Only the operators those programs need are provided:
-
-* :func:`select` — σ with an arbitrary per-row predicate or equality filters;
-* :func:`project` — π onto a subset of columns (optionally renamed);
-* :func:`equi_join` — a hash join on equality of one or more column pairs;
-* :func:`anti_join` — ``NOT EXISTS`` / ``NOT IN`` filtering (used for the
-  ``¬G(t, _)`` literals in Algorithms 2–4);
-* :func:`aggregate` — GROUP BY with SUM / MIN / MAX / COUNT aggregates over
-  an arbitrary expression of the joined row;
-* :func:`union_all` — bag union of union-compatible tables.
-
-Every operator returns a new :class:`Table`; inputs are never modified.
+:func:`open_backend` picks where the paper's relational programs run, and
+:func:`run_propagation` loads a graph and runs one method there — the path
+behind ``repro label --backend``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from repro.exceptions import ValidationError
+from repro.relational.backends import SQLBackend, get_backend
 
-from repro.exceptions import RelationalError, SchemaError
-from repro.relational.table import Table
-
-__all__ = [
-    "select",
-    "project",
-    "equi_join",
-    "anti_join",
-    "aggregate",
-    "union_all",
-    "open_backend",
-    "run_propagation",
-]
-
-RowDict = Dict[str, Any]
+__all__ = ["open_backend", "run_propagation"]
 
 
-def select(table: Table, predicate: Optional[Callable[[RowDict], bool]] = None,
-           name: str = "select", **equals: Any) -> Table:
-    """σ: keep rows satisfying ``predicate`` and/or the keyword equality filters.
-
-    ``select(table, v=3)`` keeps the rows whose column ``v`` equals 3;
-    ``select(table, lambda r: r["g"] < 2)`` applies an arbitrary predicate.
-    """
-    for column in equals:
-        table.column_index(column)  # raise early on unknown columns
-    result = Table(name, table.columns)
-    rows = []
-    for row in table:
-        record = dict(zip(table.columns, row))
-        if equals and not all(record[column] == value for column, value in equals.items()):
-            continue
-        if predicate is not None and not predicate(record):
-            continue
-        rows.append(row)
-    result.insert_rows(rows)
-    return result
-
-
-def project(table: Table, columns: Sequence[str],
-            rename: Optional[Mapping[str, str]] = None,
-            distinct: bool = False, name: str = "project") -> Table:
-    """π: keep (and optionally rename) a subset of columns.
-
-    With ``distinct=True`` duplicate output rows are removed (SELECT DISTINCT).
-    """
-    rename = dict(rename or {})
-    indices = [table.column_index(column) for column in columns]
-    output_columns = [rename.get(column, column) for column in columns]
-    result = Table(name, output_columns)
-    seen = set()
-    rows = []
-    for row in table:
-        values = tuple(row[i] for i in indices)
-        if distinct:
-            if values in seen:
-                continue
-            seen.add(values)
-        rows.append(values)
-    result.insert_rows(rows)
-    return result
-
-
-def _qualified_columns(left: Table, right: Table) -> List[str]:
-    """Output schema of a join: right-hand columns that collide get a prefix."""
-    columns = list(left.columns)
-    for column in right.columns:
-        if column in left.columns:
-            columns.append(f"{right.name}.{column}")
-        else:
-            columns.append(column)
-    return columns
-
-
-def equi_join(left: Table, right: Table, on: Sequence[Tuple[str, str]],
-              name: str = "join") -> Table:
-    """Hash join on equality of the given (left_column, right_column) pairs.
-
-    The output contains every column of both inputs; right-hand columns whose
-    name collides with a left-hand column are prefixed with the right table's
-    name (``"B.b"``), mirroring SQL's qualified column names.
-    """
-    if not on:
-        raise RelationalError("equi_join needs at least one join column pair")
-    left_indices = [left.column_index(l) for l, _ in on]
-    right_indices = [right.column_index(r) for _, r in on]
-    # Build the hash table on the smaller input.
-    build_on_right = right.num_rows <= left.num_rows
-    build, probe = (right, left) if build_on_right else (left, right)
-    build_indices = right_indices if build_on_right else left_indices
-    probe_indices = left_indices if build_on_right else right_indices
-    buckets: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in build:
-        key = tuple(row[i] for i in build_indices)
-        buckets.setdefault(key, []).append(row)
-    output_columns = _qualified_columns(left, right)
-    result = Table(name, output_columns)
-    rows = []
-    for probe_row in probe:
-        key = tuple(probe_row[i] for i in probe_indices)
-        for build_row in buckets.get(key, ()):
-            left_row, right_row = (probe_row, build_row) if build_on_right \
-                else (build_row, probe_row)
-            rows.append(tuple(left_row) + tuple(right_row))
-    result.insert_rows(rows)
-    return result
-
-
-def anti_join(left: Table, right: Table, on: Sequence[Tuple[str, str]],
-              right_predicate: Optional[Callable[[RowDict], bool]] = None,
-              name: str = "anti_join") -> Table:
-    """Rows of ``left`` with no matching row in ``right`` (NOT EXISTS).
-
-    ``on`` lists (left_column, right_column) equality pairs.  When
-    ``right_predicate`` is given, only right-hand rows satisfying it count as
-    matches — this expresses literals like ``¬(G(t, g_t), g_t < i)`` from
-    Algorithm 3, where the negated atom carries an extra comparison.
-    """
-    if not on:
-        raise RelationalError("anti_join needs at least one join column pair")
-    left_indices = [left.column_index(l) for l, _ in on]
-    right_indices = [right.column_index(r) for _, r in on]
-    keys = set()
-    for row in right:
-        if right_predicate is not None:
-            record = dict(zip(right.columns, row))
-            if not right_predicate(record):
-                continue
-        keys.add(tuple(row[i] for i in right_indices))
-    result = Table(name, left.columns)
-    result.insert_rows(row for row in left
-                       if tuple(row[i] for i in left_indices) not in keys)
-    return result
-
-
-_AGGREGATES: Dict[str, Callable[[List[float]], float]] = {
-    "sum": lambda values: sum(values),
-    "min": lambda values: min(values),
-    "max": lambda values: max(values),
-    "count": lambda values: len(values),
-    "avg": lambda values: sum(values) / len(values),
-}
-
-
-def aggregate(table: Table, group_by: Sequence[str],
-              aggregations: Mapping[str, Tuple[str, Callable[[RowDict], Any]]],
-              name: str = "aggregate") -> Table:
-    """GROUP BY with one or more aggregates.
-
-    Parameters
-    ----------
-    table:
-        Input relation.
-    group_by:
-        Columns to group on (may be empty for a single global group).
-    aggregations:
-        Mapping ``output_column -> (function_name, expression)`` where
-        ``function_name`` is one of ``sum``, ``min``, ``max``, ``count``,
-        ``avg`` and ``expression`` maps a row dictionary to the value being
-        aggregated — e.g. ``{"b": ("sum", lambda r: r["w"] * r["b"] * r["h"])}``
-        expresses ``sum(w * b * h)`` from Algorithm 1.
-    """
-    for column in group_by:
-        table.column_index(column)
-    for output_column, (function_name, _) in aggregations.items():
-        if function_name not in _AGGREGATES:
-            raise RelationalError(
-                f"unknown aggregate {function_name!r} for column {output_column!r}; "
-                f"supported: {sorted(_AGGREGATES)}")
-    group_indices = [table.column_index(column) for column in group_by]
-    groups: Dict[Tuple[Any, ...], Dict[str, List[Any]]] = {}
-    for row in table:
-        record = dict(zip(table.columns, row))
-        key = tuple(row[i] for i in group_indices)
-        bucket = groups.setdefault(key, {column: [] for column in aggregations})
-        for output_column, (_, expression) in aggregations.items():
-            bucket[output_column].append(expression(record))
-    output_columns = list(group_by) + list(aggregations)
-    result = Table(name, output_columns)
-    rows = []
-    for key, bucket in groups.items():
-        aggregated = tuple(_AGGREGATES[function_name](bucket[output_column])
-                           for output_column, (function_name, _) in aggregations.items())
-        rows.append(tuple(key) + aggregated)
-    result.insert_rows(rows)
-    return result
-
-
-def union_all(tables: Iterable[Table], name: str = "union_all") -> Table:
-    """Bag union of union-compatible tables (same number of columns).
-
-    Column names are taken from the first table; subsequent tables only need
-    matching arity, mirroring SQL's positional UNION ALL semantics.
-    """
-    tables = list(tables)
-    if not tables:
-        raise RelationalError("union_all needs at least one input table")
-    first = tables[0]
-    result = Table(name, first.columns)
-    for table in tables:
-        if len(table.columns) != len(first.columns):
-            raise SchemaError(
-                f"union_all: table {table.name!r} has {len(table.columns)} columns, "
-                f"expected {len(first.columns)}")
-        result.insert_rows(table.rows)
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# execution-backend dispatch
-# ---------------------------------------------------------------------- #
-def open_backend(backend: str = "python", database: str = ":memory:"):
+def open_backend(backend: str = "sqlite",
+                 database: str = ":memory:") -> SQLBackend:
     """Open an execution backend for the relational LinBP/SBP programs.
 
-    ``backend`` selects where the relational program actually runs:
-    ``"python"`` (these in-memory operators), ``"sqlite"`` (the stdlib SQL
-    engine, optionally disk-backed via ``database``) or ``"duckdb"`` (the
-    optional columnar engine).  Unknown names raise
+    ``backend`` selects the SQL engine: ``"sqlite"`` (the stdlib engine,
+    optionally disk-backed via ``database``) or ``"duckdb"`` (the optional
+    columnar engine).  Unknown names raise
     :class:`~repro.exceptions.UnknownBackendError`; a known backend whose
     driver is missing raises
     :class:`~repro.exceptions.BackendUnavailableError` — never a bare
     ``KeyError`` or ``ModuleNotFoundError``.
     """
-    from repro.relational.backends import get_backend
-
     return get_backend(backend, database=database)
 
 
 def run_propagation(graph, coupling, explicit_residuals, method: str = "linbp",
-                    backend: str = "python", database: str = ":memory:",
+                    backend: str = "sqlite", database: str = ":memory:",
                     max_iterations: int = 100, tolerance: float = 1e-10,
                     num_iterations=None):
     """Run one relational propagation query on the chosen execution backend.
@@ -261,8 +41,6 @@ def run_propagation(graph, coupling, explicit_residuals, method: str = "linbp",
     surface as :mod:`repro.exceptions` types: unknown backend or method,
     unavailable driver, and out-of-order use.
     """
-    from repro.exceptions import ValidationError
-
     method_key = method.lower()
     if method_key not in ("linbp", "linbp*", "sbp"):
         raise ValidationError(

@@ -266,7 +266,8 @@ def _render_ok(version: int, kind: str,
     ``fields`` are ``(key, value)`` pairs: v0 renders them as
     ``key=value`` tokens after ``ok <kind>``, v1 as JSON object members
     after ``ok``, ``v`` and ``op``, in order.  Handlers pass each
-    version only the fields it carries.
+    version only the fields it carries.  A v1 line is strict JSON: a
+    non-finite float raises ``ValueError`` instead of rendering.
     """
     if version == 0:
         tokens = "".join(f" {key}={_format_v0(value)}"
@@ -274,7 +275,7 @@ def _render_ok(version: int, kind: str,
         return f"ok {kind}{tokens}"
     body = {"ok": True, "v": 1, "op": kind}
     body.update(fields)
-    return json.dumps(body, separators=(",", ":"))
+    return json.dumps(body, separators=(",", ":"), allow_nan=False)
 
 
 def _render_error(version: int, code: str, message: str) -> str:
@@ -282,7 +283,23 @@ def _render_error(version: int, code: str, message: str) -> str:
         return f"error {message}"
     return json.dumps({"ok": False, "v": 1,
                        "error": {"code": code, "message": message}},
-                      separators=(",", ":"))
+                      separators=(",", ":"), allow_nan=False)
+
+
+def _require_finite_result(result) -> None:
+    """Refuse to answer ``ok`` over NaN or ±Infinity beliefs.
+
+    Finite inputs still give non-finite beliefs when the sweeps diverge
+    (a coupling beyond the Lemma 8 limit) or overflow float64 (explicit
+    values near its maximum); the beliefs, and any labels read off them,
+    are then meaningless.
+    """
+    if not np.isfinite(result.beliefs).all():
+        raise ConvergenceError(
+            f"{result.method} produced non-finite beliefs after "
+            f"{result.iterations} iterations: the sweeps diverged (see "
+            "repro analyze for the coupling scale limit) or overflowed "
+            "float64", iterations=int(result.iterations))
 
 
 class ServiceSession:
@@ -418,6 +435,7 @@ class ServiceSession:
         result = self.service.query(
             graph_name, coupling, explicit, spec,
             max_staleness=int(request.get("staleness", 0)))
+        _require_finite_result(result)
         fields = [("method", result.method),
                   ("iterations", int(result.iterations)),
                   ("converged", bool(result.converged))]
@@ -447,6 +465,7 @@ class ServiceSession:
         result = self.service.create_view(
             graph_name, view_name, coupling, explicit,
             method=str(request.get("method", "sbp")))
+        _require_finite_result(result)
         return _render_ok(version, "view", [
             ("graph", graph_name), ("name", view_name),
             ("method", result.method),
@@ -457,6 +476,7 @@ class ServiceSession:
         view_name = str(request["name"])
         limit = _request_limit(request)
         result = self.service.view_result(graph_name, view_name)
+        _require_finite_result(result)
         payload, truncated = _belief_payload(result.beliefs, limit, version)
         fields = [("graph", graph_name), ("name", view_name),
                   ("beliefs", payload)]

@@ -44,8 +44,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -85,9 +84,6 @@ from repro.shard.partition import (
 
 __all__ = ["GraphSnapshot", "ShardedSnapshot", "PropagationService"]
 
-#: Legacy keyword arguments of query(), now fields of QuerySpec.
-_SPEC_FIELDS = frozenset(field.name for field in fields(QuerySpec))
-
 #: Process-global telemetry (honours ``REPRO_OBS_DISABLED``); the
 #: request accounting behind ``stats()`` lives on each service's own
 #: always-on registry instead — see ``PropagationService.registry``.
@@ -97,6 +93,30 @@ RESULT_CACHE_LOOKUPS = counter(
 SHARD_REPAIRS = counter(
     "repro_shard_repairs_total",
     "Partition maintenance passes, by kind (incremental/full).")
+
+
+def _require_finite(beliefs: Union[Mapping[int, np.ndarray], np.ndarray]
+                    ) -> None:
+    """Reject NaN or ±Infinity beliefs, naming the first offending cell.
+
+    ``beliefs`` is an ``n × k`` matrix or a ``node -> vector`` mapping,
+    the two shapes :meth:`PropagationService.update` accepts.
+    """
+    if isinstance(beliefs, Mapping):
+        rows = ((node, np.asarray(vector, dtype=float).ravel())
+                for node, vector in beliefs.items())
+    else:
+        matrix = np.atleast_2d(np.asarray(beliefs, dtype=float))
+        if np.isfinite(matrix).all():
+            return
+        rows = enumerate(matrix)
+    for node, row in rows:
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            klass = int(bad[0])
+            raise ValidationError(
+                f"belief value {row[klass]} for node {node} class {klass} "
+                "is not finite")
 
 
 def _check_config_value(key: str, value: object) -> None:
@@ -564,37 +584,8 @@ class PropagationService:
     # ------------------------------------------------------------------ #
     # coalesced one-shot queries
     # ------------------------------------------------------------------ #
-    def _resolve_spec(self, spec, legacy: Dict[str, object]) -> QuerySpec:
-        """Normalise ``query()``'s spec argument, shimming legacy kwargs.
-
-        A :class:`QuerySpec` passes through; ``None`` with no legacy
-        kwargs is the default spec.  Solver keyword arguments (the
-        pre-QuerySpec API, including a bare method string in the spec
-        position) still work but emit a :class:`DeprecationWarning`.
-        """
-        if isinstance(spec, str):
-            # Old call shape: query(name, coupling, explicit, "sbp").
-            if "method" in legacy:
-                raise ValidationError(
-                    "query() got the method both positionally and as a "
-                    "keyword argument")
-            legacy = dict(legacy, method=spec)
-            spec = None
-        if legacy:
-            if spec is not None:
-                raise ValidationError(
-                    "pass a QuerySpec or legacy solver keyword arguments "
-                    "to query(), not both")
-            unknown = sorted(set(legacy) - _SPEC_FIELDS)
-            if unknown:
-                raise TypeError(
-                    f"query() got unexpected keyword argument(s) {unknown}")
-            warnings.warn(
-                "passing solver parameters to PropagationService.query() "
-                "as keyword arguments is deprecated; pass a QuerySpec "
-                "(repro.service.QuerySpec) instead",
-                DeprecationWarning, stacklevel=3)
-            return QuerySpec(**legacy)
+    def _resolve_spec(self, spec: Optional[QuerySpec]) -> QuerySpec:
+        """``spec``, or the service's default spec when it is ``None``."""
         if spec is None:
             return self.default_spec if self.default_spec is not None \
                 else QuerySpec()
@@ -631,7 +622,7 @@ class PropagationService:
     def query(self, graph_name: str, coupling: CouplingMatrix,
               explicit_residuals: np.ndarray,
               spec: Optional[QuerySpec] = None, *,
-              max_staleness: int = 0, **legacy) -> PropagationResult:
+              max_staleness: int = 0) -> PropagationResult:
         """Run one propagation query, coalescing with concurrent peers.
 
         Semantically identical to calling :func:`repro.core.linbp.linbp`
@@ -647,9 +638,9 @@ class PropagationService:
         ``spec`` is the single parameter object describing the solve
         (method, iteration budget, dtype, precision — see
         :class:`~repro.service.spec.QuerySpec`); ``None`` means the
-        default spec.  The pre-QuerySpec keyword arguments (``method=``,
-        ``max_iterations=``, ...) are accepted as a deprecated shim that
-        emits a :class:`DeprecationWarning`.
+        default spec.  Explicit beliefs must be finite: a NaN or
+        ±Infinity cell raises :class:`ValidationError` before any cache
+        probe or batch.
 
         ``max_staleness`` bounds how old an answer may be: ``s > 0``
         lets the query be served from the cache of any retained snapshot
@@ -658,7 +649,7 @@ class PropagationService:
         cold new version is still being computed against.  ``0``
         (default) only ever serves the current version.
         """
-        spec = self._resolve_spec(spec, legacy)
+        spec = self._resolve_spec(spec)
         max_staleness = int(max_staleness)
         if max_staleness < 0:
             raise ValidationError("max_staleness must be >= 0")
@@ -676,6 +667,7 @@ class PropagationService:
             raise ValidationError(
                 f"explicit beliefs must have shape {expected}, "
                 f"got {explicit.shape}")
+        _require_finite(explicit)
         self._m_queries.inc(graph=graph_name)
         params = spec.solver_params()
         coupling_id = engine_plan.coupling_key(coupling)
@@ -850,8 +842,10 @@ class PropagationService:
         (LinBP family); edge insertions ride the Algorithm 4 repair or a
         warm-started iteration.  Views pin their *own* graph lineage —
         they evolve with the updates applied through this service, in
-        lock step with the snapshot version.
+        lock step with the snapshot version.  Non-finite explicit beliefs
+        raise :class:`ValidationError` before the view is created.
         """
+        _require_finite(explicit_residuals)
         if method not in _METHODS:
             raise ValidationError(
                 f"unknown method {method!r}; expected one of "
@@ -916,11 +910,13 @@ class PropagationService:
         successor graph is built first, so malformed edges raise before
         any repair runs, and belief shapes are checked against every
         view up front) — a rejected update leaves the service exactly as
-        it was.
+        it was.  Non-finite ``new_beliefs`` are rejected the same way.
         """
         if new_beliefs is None and new_edges is None:
             raise ValidationError(
                 "update() needs new_beliefs and/or new_edges")
+        if new_beliefs is not None:
+            _require_finite(new_beliefs)
         entry = self._entry(graph_name)
         with entry.lock:
             old = entry.snapshot

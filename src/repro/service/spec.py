@@ -5,8 +5,7 @@ propagation query": method, iteration budget, tolerance, dtype and
 precision mode.  One frozen, hashable value object travels through every
 layer that used to take a sprawl of keyword arguments —
 
-* :meth:`repro.service.service.PropagationService.query` takes a spec
-  (the old kwargs survive as a deprecated shim that builds one);
+* :meth:`repro.service.service.PropagationService.query` takes a spec;
 * the coalescer's batch key and the result-cache key embed
   :meth:`QuerySpec.solver_params`, so "may these requests share a
   batch?" is a value comparison on specs;

@@ -1,4 +1,4 @@
-"""Cross-implementation consistency: matrix vs relational, iterative vs closed form.
+"""Cross-implementation consistency: matrix vs SQL, iterative vs closed form.
 
 These are the end-to-end guarantees the library rests on: every implementation
 of the same semantics must produce the same numbers, on non-trivial random
@@ -14,13 +14,13 @@ from repro.coupling import synthetic_residual_matrix
 from repro.core import SBP, linbp, linbp_closed_form, sbp
 from repro.datasets import sample_explicit_beliefs, sample_explicit_nodes
 from repro.graphs import random_graph
-from repro.relational import (
-    RelationalSBP,
-    add_edges_sql,
-    add_explicit_beliefs_sql,
-    linbp_sql,
-    sbp_sql,
-)
+from repro.relational import SQLiteBackend
+
+
+def _sqlite(graph, coupling, explicit) -> SQLiteBackend:
+    backend = SQLiteBackend().connect()
+    backend.load_graph(graph, coupling, explicit)
+    return backend
 
 
 @pytest.fixture(scope="module", params=[0, 1])
@@ -44,27 +44,25 @@ class TestLinBPImplementations:
         assert iterative.converged
         assert np.allclose(iterative.beliefs, closed.beliefs, atol=1e-9)
 
-    def test_relational_equals_closed_form(self, workload):
+    @pytest.mark.parametrize("echo", [True, False])
+    def test_sql_equals_closed_form(self, workload, echo):
         graph, coupling, explicit = workload
-        relational = linbp_sql(graph, coupling, explicit, num_iterations=300,
-                               tolerance=1e-13)
-        closed = linbp_closed_form(graph, coupling, explicit)
-        assert np.allclose(relational.beliefs, closed.beliefs, atol=1e-8)
-
-    def test_relational_star_equals_closed_form(self, workload):
-        graph, coupling, explicit = workload
-        relational = linbp_sql(graph, coupling, explicit, num_iterations=300,
-                               tolerance=1e-13, echo_cancellation=False)
+        with _sqlite(graph, coupling, explicit) as backend:
+            relational = backend.run_linbp(max_iterations=300,
+                                           tolerance=1e-13,
+                                           echo_cancellation=echo)
         closed = linbp_closed_form(graph, coupling, explicit,
-                                   echo_cancellation=False)
+                                   echo_cancellation=echo)
+        assert relational.converged
         assert np.allclose(relational.beliefs, closed.beliefs, atol=1e-8)
 
 
 class TestSBPImplementations:
-    def test_matrix_equals_relational(self, workload):
+    def test_matrix_equals_sql(self, workload):
         graph, coupling, explicit = workload
         matrix_result = sbp(graph, coupling, explicit)
-        relational_result = sbp_sql(graph, coupling, explicit)
+        with _sqlite(graph, coupling, explicit) as backend:
+            relational_result = backend.run_sbp()
         assert np.allclose(matrix_result.beliefs, relational_result.beliefs,
                            atol=1e-10)
         assert np.array_equal(matrix_result.extra["geodesic_numbers"],
@@ -84,12 +82,14 @@ class TestSBPImplementations:
         memory_runner.run(initial)
         memory_result = memory_runner.add_explicit_beliefs(update)
 
-        relational_runner = RelationalSBP(graph, coupling)
-        relational_runner.run(initial)
-        relational_result = add_explicit_beliefs_sql(relational_runner, update)
+        with _sqlite(graph, coupling, initial) as backend:
+            backend.run_sbp()
+            relational_result = backend.add_explicit_beliefs(update)
 
         assert np.allclose(memory_result.beliefs, scratch.beliefs, atol=1e-10)
         assert np.allclose(relational_result.beliefs, scratch.beliefs, atol=1e-10)
+        assert relational_result.extra["nodes_updated"] == \
+            memory_result.extra["nodes_updated"]
 
     def test_incremental_edges_all_engines_agree(self, workload):
         graph, coupling, explicit = workload
@@ -106,12 +106,14 @@ class TestSBPImplementations:
         memory_runner.run(explicit)
         memory_result = memory_runner.add_edges(new_edges)
 
-        relational_runner = RelationalSBP(graph, coupling)
-        relational_runner.run(explicit)
-        relational_result = add_edges_sql(relational_runner, new_edges)
+        with _sqlite(graph, coupling, explicit) as backend:
+            backend.run_sbp()
+            relational_result = backend.add_edges(new_edges)
 
         assert np.allclose(memory_result.beliefs, scratch.beliefs, atol=1e-10)
         assert np.allclose(relational_result.beliefs, scratch.beliefs, atol=1e-10)
+        assert relational_result.extra["nodes_updated"] == \
+            memory_result.extra["nodes_updated"]
 
 
 class TestTheorem19OnRandomGraphs:

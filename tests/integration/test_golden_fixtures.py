@@ -4,8 +4,8 @@
 their expected final beliefs, iteration counts and convergence flags, as
 computed by the in-memory engines when the fixture was recorded.  One
 parametrized test runs *every* execution path — the batched engine, the
-sharded block engine, the pure-Python relational backend, the SQLite
-backend, and DuckDB when installed — against the same fixture.  Any future
+sharded block engine, the SQLite backend, and DuckDB when installed —
+against the same fixture.  Any future
 engine divergence, however subtle, fails here first.
 
 Regenerate a fixture only for an intentional semantic change, by re-running
@@ -95,7 +95,6 @@ def _run_backend_engine(name):
 LINBP_ENGINES = {
     "batch": _run_batch_engine,
     "sharded": _run_sharded_engine,
-    "relational-python": _run_backend_engine("python"),
     "sqlite": _run_backend_engine("sqlite"),
     "duckdb": _run_backend_engine("duckdb"),
 }
@@ -139,7 +138,6 @@ def _run_sbp_backend(name):
 
 SBP_ENGINES = {
     "batch": _run_sbp_batch_engine,
-    "relational-python": _run_sbp_backend("python"),
     "sqlite": _run_sbp_backend("sqlite"),
     "duckdb": _run_sbp_backend("duckdb"),
 }

@@ -48,9 +48,9 @@ def problem():
 
 
 class TestRegistry:
-    def test_python_and_sqlite_always_available(self):
-        assert "python" in available_backends()
-        assert "sqlite" in available_backends()
+    def test_sqlite_always_available(self):
+        assert available_backends()[0] == "sqlite"
+        assert set(BACKENDS) == {"sqlite", "duckdb"}
 
     def test_unknown_backend_raises_with_known_names(self):
         with pytest.raises(UnknownBackendError) as excinfo:
@@ -65,8 +65,6 @@ class TestRegistry:
     def test_backend_info_reports_every_backend(self):
         report = {entry["name"]: entry for entry in backend_info()}
         assert set(report) == set(BACKENDS)
-        assert report["python"]["kind"] == "in-memory"
-        assert report["sqlite"]["kind"] == "sql"
         assert report["sqlite"]["available"] is True
         assert "SQLite" in report["sqlite"]["engine"]
 
@@ -88,13 +86,9 @@ class TestRegistry:
             result = backend.run_linbp()
         assert result.converged
 
-    def test_python_backend_rejects_disk_database(self, tmp_path):
-        with pytest.raises(ValidationError):
-            get_backend("python", database=str(tmp_path / "nope.db"))
-
 
 class TestErrorSurface:
-    @pytest.mark.parametrize("name", ["python", "sqlite"])
+    @pytest.mark.parametrize("name", available_backends())
     def test_unloaded_backend_raises_state_error(self, name):
         backend = get_backend(name)
         with pytest.raises(BackendStateError):
@@ -105,14 +99,14 @@ class TestErrorSurface:
             backend.fetch_beliefs()
         backend.close()
 
-    @pytest.mark.parametrize("name", ["python", "sqlite"])
+    @pytest.mark.parametrize("name", available_backends())
     def test_bad_explicit_shape_raises_validation_error(self, name, problem):
         graph, coupling, _ = problem
         with get_backend(name) as backend:
             with pytest.raises(ValidationError):
                 backend.load_graph(graph, coupling, np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("name", ["python", "sqlite"])
+    @pytest.mark.parametrize("name", available_backends())
     def test_bad_iteration_arguments(self, name, problem):
         graph, coupling, explicit = problem
         with get_backend(name) as backend:

@@ -191,9 +191,9 @@ class TestDefaultSpec:
     def test_explicit_spec_still_wins_over_default_spec(self):
         service = PropagationService.from_config(_artifact())
         try:
-            assert service._resolve_spec(None, {}) is service.default_spec
+            assert service._resolve_spec(None) is service.default_spec
             tight = QuerySpec(tolerance=1e-12)
-            assert service._resolve_spec(tight, {}) is tight
+            assert service._resolve_spec(tight) is tight
         finally:
             service.close()
 

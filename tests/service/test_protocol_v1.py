@@ -223,6 +223,69 @@ class TestV1ErrorPaths:
         assert garbage == "error busy"
 
 
+def _strict_json(line: str) -> dict:
+    """Parse a v1 line as strict JSON: NaN and ±Infinity literals raise."""
+    def refuse(constant):
+        raise AssertionError(f"non-JSON constant {constant} in {line!r}")
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteResults:
+    """Diverged or overflowed beliefs answer ``convergence``, never ``ok``.
+
+    ``lemma8``: ε = 50 on a 50-node ring is far beyond the Lemma 8 limit,
+    so LinBP diverges over its 2,000 sweeps.  ``overflow``: ε = 2 converges,
+    but explicit values of 1e308 overflow float64 on the first sweeps.
+    """
+
+    RING = [[node, (node + 1) % 50] for node in range(50)]
+    CASES = {"lemma8": (50.0, 0.1, 2000), "overflow": (2.0, 1e308, 100)}
+
+    @pytest.mark.parametrize("version", [0, 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_query_view_and_read_view(self, case, version):
+        epsilon, value, max_iterations = self.CASES[case]
+        session = ServiceSession(window_seconds=0.0)
+        session.handle_line(_line(op="load_graph", name="ring",
+                                  edges=self.RING))
+        session.handle_line(_line(op="load_coupling", name="h",
+                                  residual=[[0.1, -0.1], [-0.1, 0.1]],
+                                  epsilon=epsilon))
+        beliefs = [[0, 0, value], [0, 1, -value]]
+        requests = [
+            ("LinBP", max_iterations,
+             dict(op="query", graph="ring", coupling="h", beliefs=beliefs,
+                  max_iterations=max_iterations, return_beliefs=True,
+                  limit=0)),
+            ("LinBP (incremental)", 200,
+             dict(op="view", graph="ring", name="w", coupling="h",
+                  method="linbp", beliefs=beliefs)),
+            ("LinBP (incremental)", 200,
+             dict(op="read_view", graph="ring", name="w", limit=0)),
+        ]
+        for method, iterations, request in requests:
+            if version:
+                request["v"] = 1
+            response, keep_running = session.handle_line(_line(**request))
+            assert keep_running
+            expected = (f"{method} produced non-finite beliefs after "
+                        f"{iterations} iterations")
+            if version == 0:
+                assert response.startswith(f"error {expected}"), response
+                continue
+            body = _strict_json(response)
+            assert body["ok"] is False, response
+            assert body["error"]["code"] == "convergence"
+            assert body["error"]["message"].startswith(expected)
+
+    def test_v1_render_refuses_non_finite_floats(self):
+        from repro.service.protocol import _render_ok
+
+        with pytest.raises(ValueError):
+            _render_ok(1, "query", [("beliefs", [[0, [float("-inf")]]])])
+
+
 class TestErrorCodeTaxonomy:
     def test_most_specific_class_wins(self):
         assert error_code(NotConvergentParametersError("x")) \

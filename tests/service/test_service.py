@@ -314,6 +314,64 @@ class TestValidation:
             service.query("g", coupling, explicit_list[0][:-1])
 
 
+class TestNonFiniteBeliefs:
+    """NaN and ±Infinity are refused before any cache probe, batch or
+    repair, and a refused call leaves the service as it was."""
+
+    @pytest.fixture
+    def service(self):
+        graph, coupling, explicit_list = _workload(1)
+        service = PropagationService(window_seconds=0.0)
+        service.register_graph("g", graph)
+        service.create_view("g", "base", coupling, explicit_list[0])
+        yield service, coupling, explicit_list[0]
+        service.close()
+
+    @staticmethod
+    def _state(service):
+        stats = service.stats()
+        return (service.snapshot("g").version, service.view_names("g"),
+                stats["queries"], stats["result_cache"]["size"],
+                service.view_result("g", "base").beliefs.copy())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_query_rejects_and_names_the_first_cell(self, service, value):
+        service, coupling, explicit = service
+        before = self._state(service)
+        bad = explicit.copy()
+        bad[5, 2] = value
+        bad[9, 0] = value
+        with pytest.raises(ValidationError,
+                           match=r"node 5 class 2 is not finite"):
+            service.query("g", coupling, bad)
+        after = self._state(service)
+        assert after[:4] == before[:4]
+        assert np.array_equal(after[4], before[4])
+
+    def test_create_view_rejects_without_creating_it(self, service):
+        service, coupling, explicit = service
+        bad = explicit.copy()
+        bad[3, 1] = np.nan
+        with pytest.raises(ValidationError, match="node 3 class 1"):
+            service.create_view("g", "broken", coupling, bad)
+        assert service.view_names("g") == ["base"]
+        assert service.snapshot("g").version == 0
+
+    @pytest.mark.parametrize("as_mapping", [False, True])
+    def test_update_rejects_without_bumping_the_version(self, service,
+                                                        as_mapping):
+        service, coupling, explicit = service
+        before = self._state(service)
+        bad = np.zeros_like(explicit)
+        bad[7] = [0.1, -np.inf, 0.0]
+        new_beliefs = {7: bad[7]} if as_mapping else bad
+        with pytest.raises(ValidationError, match="node 7 class 1"):
+            service.update("g", new_beliefs=new_beliefs, new_edges=[(0, 1)])
+        after = self._state(service)
+        assert after[:4] == before[:4]
+        assert np.array_equal(after[4], before[4])
+
+
 class TestUpdateHooks:
     """The core runners' hooks that the service's accounting builds on."""
 

@@ -1,4 +1,4 @@
-"""QuerySpec: validation, hashing, batch keys, and the deprecated shim."""
+"""QuerySpec: validation, hashing, batch keys, and the query() argument."""
 
 from __future__ import annotations
 
@@ -115,35 +115,7 @@ class TestFromRequest:
             QuerySpec.from_request({"tolerance": "soon"})
 
 
-class TestDeprecatedShim:
-    def test_legacy_kwargs_warn_and_match_spec_path(self):
-        graph, coupling, explicit = _workload()
-        service = PropagationService(window_seconds=0.0)
-        service.register_graph("g", graph)
-        via_spec = service.query("g", coupling, explicit,
-                                 QuerySpec(num_iterations=6))
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = service.query("g", coupling, explicit,
-                                       num_iterations=6)
-        assert np.array_equal(via_spec.beliefs, via_kwargs.beliefs)
-        assert via_kwargs.iterations == 6
-
-    def test_string_spec_is_treated_as_legacy_method(self):
-        graph, coupling, explicit = _workload()
-        service = PropagationService(window_seconds=0.0)
-        service.register_graph("g", graph)
-        with pytest.warns(DeprecationWarning):
-            result = service.query("g", coupling, explicit, "linbp*")
-        assert result.method == "LinBP*"
-
-    def test_spec_plus_legacy_kwargs_rejected(self):
-        graph, coupling, explicit = _workload()
-        service = PropagationService(window_seconds=0.0)
-        service.register_graph("g", graph)
-        with pytest.raises(ValidationError):
-            service.query("g", coupling, explicit, QuerySpec(),
-                          num_iterations=3)
-
+class TestSpecArgument:
     def test_unknown_kwarg_raises_type_error(self):
         graph, coupling, explicit = _workload()
         service = PropagationService(window_seconds=0.0)
@@ -155,5 +127,6 @@ class TestDeprecatedShim:
         graph, coupling, explicit = _workload()
         service = PropagationService(window_seconds=0.0)
         service.register_graph("g", graph)
-        with pytest.raises(ValidationError):
-            service.query("g", coupling, explicit, {"method": "linbp"})
+        for not_a_spec in ({"method": "linbp"}, "linbp*"):
+            with pytest.raises(ValidationError):
+                service.query("g", coupling, explicit, not_a_spec)

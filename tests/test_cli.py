@@ -181,10 +181,9 @@ class TestLabelShardedCommand:
 
 
 class TestLabelBackendCommand:
-    @pytest.mark.parametrize("backend", ["python", "sqlite"])
     @pytest.mark.parametrize("method", ["linbp", "linbp*", "sbp"])
     def test_backend_label_matches_in_memory(self, cli_files, capsys,
-                                             method, backend):
+                                             method):
         graph_path, beliefs_path, coupling_path, _ = cli_files
         memory_exit = main([
             "label", "--graph", str(graph_path), "--beliefs",
@@ -195,7 +194,7 @@ class TestLabelBackendCommand:
             "label", "--graph", str(graph_path), "--beliefs",
             str(beliefs_path), "--coupling", str(coupling_path),
             "--method", method, "--epsilon", "0.3",
-            "--backend", backend])
+            "--backend", "sqlite"])
         backend_out = capsys.readouterr().out
         assert memory_exit == 0 and backend_exit == 0
         # identical label assignments (the summary line names the backend)
@@ -231,11 +230,12 @@ class TestLabelBackendCommand:
         assert exit_code == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_backend_flag_rejects_unknown_backend(self, capsys):
+    @pytest.mark.parametrize("backend", ["postgres", "python"])
+    def test_backend_flag_rejects_unknown_backend(self, capsys, backend):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([
                 "label", "--graph", "g", "--beliefs", "b",
-                "--coupling", "h", "--backend", "postgres"])
+                "--coupling", "h", "--backend", backend])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
@@ -259,7 +259,7 @@ class TestSqlInfoCommand:
         exit_code = main(["sql-info"])
         out = capsys.readouterr().out
         assert exit_code == 0
-        for name in ("python", "sqlite", "duckdb"):
+        for name in ("sqlite", "duckdb"):
             assert name in out
         assert "SQLite" in out
         # duckdb is either installed or reported unavailable - never an error
@@ -319,7 +319,7 @@ class TestLabelPrecision:
 
     def test_dtype_rejected_with_sql_backend(self, cli_files, capsys):
         flags = self._flags(cli_files)
-        assert main(flags + ["--backend", "python",
+        assert main(flags + ["--backend", "sqlite",
                              "--dtype", "float32"]) == 2
         assert "in-memory engine only" in capsys.readouterr().err
 
