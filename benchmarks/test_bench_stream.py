@@ -1,14 +1,11 @@
 """Benchmark — streaming mixed update/query traffic with a p99 gate.
 
-The streaming scenario the async front end and incremental
-repartitioning exist for: 16 closed-loop clients drive a sharded
-:class:`~repro.service.service.PropagationService` with *mixed*
-traffic — one client issues edge-delta updates (in order, so the
-snapshot-version chain is deterministic), the other fifteen issue
-label-propagation queries, some with a staleness bound of one version.
-Every update rides the incremental partition-repair path
-(:func:`repro.shard.repair.repair_partition`) instead of a full
-re-partition, and queries keep flowing against pinned snapshots while
+The streaming scenario snapshot versioning exists for: 16 closed-loop
+clients drive a :class:`~repro.service.service.PropagationService`
+with *mixed* traffic — one client issues edge-delta updates (in order,
+so the snapshot-version chain is deterministic), the other fifteen
+issue label-propagation queries, some with a staleness bound of one
+version.  Queries keep flowing against pinned snapshots while
 mutations install new ones.
 
 Gates, in order of importance:
@@ -16,10 +13,9 @@ Gates, in order of importance:
 * **Correctness** — every query's beliefs must match a direct
   :func:`repro.core.linbp.linbp` call on the exact graph version the
   service reports having served (``result.extra["snapshot_version"]``),
-  to 1e-10.  Repaired partitions must be indistinguishable from fresh
-  ones in query results, under concurrency.
-* **Repair path exercised** — the service must report one incremental
-  repair per edge-delta update and zero full rebuilds.
+  to 1e-10, under concurrency.
+* **Every update applied** — the service must count one update per
+  edge delta, and its final snapshot version must equal that count.
 * **p99 latency** — the 99th-percentile *query* latency must stay under
   a stall budget (:data:`P99_BUDGET_SECONDS`).  The budget is loose on
   purpose: a query on this graph takes single-digit milliseconds, so
@@ -54,7 +50,6 @@ NUM_NODES = 240 if SMOKE else 800
 EDGE_PROBABILITY = 0.08
 NUM_ITERATIONS = 12
 EPSILON = 0.005
-NUM_SHARDS = 2
 EDGES_PER_UPDATE = 3
 P99_BUDGET_SECONDS = 1.5 if SMOKE else 0.75
 
@@ -112,15 +107,9 @@ def _requests(graph, coupling,
 
 
 def _service() -> PropagationService:
-    # Sequential shard executor and no background re-partition thread:
-    # the drive must be deterministic to benchmark.  Incremental repair
-    # stays on — it is the code under test.
     return PropagationService(window_seconds=0.002, max_batch=NUM_CLIENTS,
                               result_cache_size=64, result_ttl_seconds=None,
-                              shards=NUM_SHARDS, shard_executor="sequential",
-                              snapshot_history=4,
-                              incremental_repartition=True,
-                              repartition_drift=None)
+                              snapshot_history=4)
 
 
 def _drive(graph, requests):
@@ -133,7 +122,7 @@ def _drive(graph, requests):
 
 
 def test_stream_mixed_workload_p99(benchmark):
-    """16 mixed closed-loop clients: correctness, repairs, p99 gate."""
+    """16 mixed closed-loop clients: correctness, updates, p99 gate."""
     clear_plan_cache()
     graph = random_graph(NUM_NODES, EDGE_PROBABILITY, seed=7)
     coupling = synthetic_residual_matrix(epsilon=EPSILON)
@@ -168,15 +157,15 @@ def test_stream_mixed_workload_p99(benchmark):
         checked += 1
     assert checked == len(requests) - num_updates
 
-    shard_stats = service.stats()["shards"]["g"]
-    assert shard_stats["incremental_repairs"] == num_updates, shard_stats
-    assert shard_stats["full_repartitions"] == 0, shard_stats
+    stats = service.stats()
+    assert stats["updates"] == num_updates, stats
+    assert service.snapshot("g").version == num_updates
 
     query_run_p99 = sorted(query_latencies)[
         max(0, int(np.ceil(0.99 * len(query_latencies))) - 1)]
     table = ResultTable(
         f"Stream — {len(requests)} mixed requests ({num_updates} updates), "
-        f"{NUM_CLIENTS} clients, {NUM_SHARDS} shards")
+        f"{NUM_CLIENTS} clients")
     table.add_row(
         nodes=graph.num_nodes,
         edges=graph.num_edges,
@@ -186,8 +175,6 @@ def test_stream_mixed_workload_p99(benchmark):
         p50_s=run.percentile(50),
         p99_s=run.p99,
         query_p99_s=query_run_p99,
-        repairs=shard_stats["incremental_repairs"],
-        cut_drift=shard_stats["cut_drift"],
     )
     # The benchmark statistic is one full mixed drive on a fresh service.
     benchmark.pedantic(lambda: _drive(graph, requests),

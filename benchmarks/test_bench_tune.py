@@ -120,7 +120,6 @@ def test_tune_ablation_sweep(benchmark):
     # The emitted artifact must round-trip through the consumption path.
     service = PropagationService.from_config(selection.artifact())
     assert service.default_spec is not None
-    service.close()
 
     measured = sum(1 for _, _, r in runs if r.ok)
     skipped = sum(1 for _, _, r in runs if r.status == "skipped")

@@ -91,11 +91,6 @@ register_suite(
     "BENCH_sbp.json",
     "SBP/batched-LinBP/service kernels (the historical default)")
 register_suite(
-    "shard",
-    ["benchmarks/test_bench_shard.py"],
-    "BENCH_shard.json",
-    "sharded propagation (timings depend on core count)")
-register_suite(
     "sql",
     ["benchmarks/test_bench_sql_backend.py"],
     "BENCH_sql.json",

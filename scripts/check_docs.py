@@ -123,7 +123,6 @@ def unknown_catalog_metrics(root: Path) -> List[str]:
     # Importing the packages registers every module-level metric on the
     # default registry; the service's always-on registry needs an instance.
     import repro.engine  # noqa: F401
-    import repro.shard  # noqa: F401
     from repro.obs import iter_registries
     from repro.service import PropagationService
 

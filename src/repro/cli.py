@@ -26,11 +26,6 @@ The CLI mirrors how the paper's artifacts would be used from a shell:
     (``stats``) or its full telemetry registry (``--metrics``), over the
     versioned line protocol.
 
-``python -m repro partition``
-    Split a graph into shards (BFS edge-cut or hash baseline) and report
-    cut size, balance and halo volume — the quantities that decide
-    whether sharded propagation (``label --shards``) pays off.
-
 ``python -m repro sql-info``
     Report which SQL execution backends (``label --backend``) are usable:
     the stdlib SQLite engine and the optional DuckDB engine.
@@ -124,41 +119,6 @@ def _load_coupling(path: Path, epsilon: float) -> CouplingMatrix:
     raise ReproError("coupling file must contain a 'residual' or 'stochastic' matrix")
 
 
-def _label_sharded(args: argparse.Namespace, graph, coupling, explicit):
-    """Run one labeling query through the shard subsystem (``--shards p``)."""
-    from repro import engine, shard
-    from repro.engine import precision as engine_precision
-
-    if args.method not in ("linbp", "linbp*"):
-        raise ReproError(
-            f"--shards requires a LinBP-family method (linbp, linbp*); "
-            f"{args.method!r} has no block-Jacobi form")
-    echo = args.method == "linbp"
-    dtype = engine.canonical_dtype(args.dtype)
-    if args.precision == "auto":
-        # Certify on the cached float64 single-matrix plan (the Lemma 8
-        # budget is a property of A, H and the explicit scale, not of the
-        # partition), then run the sharded engine in the certified dtype.
-        reference = engine.get_plan(graph, coupling, echo_cancellation=echo)
-        decision = engine_precision.decide_linbp(
-            reference, args.tolerance,
-            engine_precision.explicit_scale([explicit]))
-        dtype = decision.dtype
-        print(f"precision: {decision.reason}", file=sys.stderr)
-    partition = shard.partition_graph(graph, args.shards,
-                                      method=args.partition_method)
-    plan = shard.get_sharded_plan(partition, coupling,
-                                  echo_cancellation=echo, dtype=dtype)
-    if args.shard_executor == "pool":
-        with shard.ShardWorkerPool(partition) as executor:
-            return shard.run_sharded_batch(
-                plan, [explicit], max_iterations=args.max_iterations,
-                tolerance=args.tolerance, executor=executor)[0]
-    return shard.run_sharded_batch(plan, [explicit],
-                                   max_iterations=args.max_iterations,
-                                   tolerance=args.tolerance)[0]
-
-
 def _label_backend(args: argparse.Namespace, graph, coupling, explicit):
     """Run one labeling query on a relational execution backend."""
     from repro.relational.engine import run_propagation
@@ -167,9 +127,6 @@ def _label_backend(args: argparse.Namespace, graph, coupling, explicit):
         raise ReproError(
             "--backend runs the paper's relational programs; method 'bp' has "
             "no relational form (use linbp, linbp* or sbp)")
-    if args.shards > 1:
-        raise ReproError("--backend and --shards are mutually exclusive; "
-                         "the SQL backends run single-process")
     return run_propagation(graph, coupling, explicit, method=args.method,
                            backend=args.backend, database=args.database,
                            max_iterations=args.max_iterations)
@@ -217,8 +174,6 @@ def _command_label(args: argparse.Namespace) -> int:
                 "--backend runs on a SQL engine with its own numeric types; "
                 "--dtype/--precision apply to the in-memory engine only")
         result = _label_backend(args, graph, coupling, explicit)
-    elif args.shards > 1:
-        result = _label_sharded(args, graph, coupling, explicit)
     elif mixed:
         result = _label_engine(args, graph, coupling, explicit)
     else:
@@ -293,26 +248,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(table.to_text() + "\n")
         print(f"\ntable written to {args.output}")
-    return 0
-
-
-def _command_partition(args: argparse.Namespace) -> int:
-    from repro import shard
-
-    graph = graph_io.read_edge_list(args.graph, num_nodes=args.num_nodes)
-    partition = shard.partition_graph(graph, args.shards, method=args.method)
-    print(partition.describe())
-    if args.compare:
-        other = "hash" if args.method == "bfs" else "bfs"
-        baseline = shard.partition_graph(graph, args.shards, method=other)
-        stats, other_stats = partition.stats(), baseline.stats()
-        print(f"vs {other}: cut edges {other_stats.cut_edges} "
-              f"({other_stats.cut_fraction:.1%}), "
-              f"balance {other_stats.balance:.3f}, "
-              f"halo volume {other_stats.halo_total}")
-        if stats.cut_edges < other_stats.cut_edges:
-            saved = 1.0 - stats.cut_edges / other_stats.cut_edges
-            print(f"{stats.method} cuts {saved:.1%} fewer edges than {other}")
     return 0
 
 
@@ -628,17 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the final belief table to this path")
     label.add_argument("--limit", type=int, default=20,
                        help="print at most this many node labels (0 = all)")
-    label.add_argument("--shards", type=_positive_int, default=1,
-                       help="run the propagation sharded over this many "
-                            "partitions (LinBP family only; default: 1 = "
-                            "single-matrix engine)")
-    label.add_argument("--partition-method", choices=["bfs", "hash"],
-                       default="bfs",
-                       help="partitioner for --shards > 1 (default: bfs)")
-    label.add_argument("--shard-executor", choices=["pool", "sequential"],
-                       default="pool",
-                       help="run shards on a multiprocessing pool or "
-                            "in-process (default: pool)")
     label.add_argument("--backend", choices=["sqlite", "duckdb"],
                        default=None,
                        help="run the relational program on a SQL engine "
@@ -665,24 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="which table/figure to regenerate")
     experiment.add_argument("--output", type=Path, default=None)
     experiment.set_defaults(handler=_command_experiment)
-
-    partition = subparsers.add_parser(
-        "partition", help="split a graph into shards; report cut size and "
-                          "balance")
-    partition.add_argument("--graph", required=True, type=Path,
-                           help="edge list file: 'source target [weight]' "
-                                "per line")
-    partition.add_argument("--shards", required=True, type=_positive_int,
-                           help="number of shards (>= 1)")
-    partition.add_argument("--method", choices=["bfs", "hash"], default="bfs",
-                           help="partitioner: BFS edge-cut or hash baseline "
-                                "(default: bfs)")
-    partition.add_argument("--num-nodes", type=int, default=None,
-                           help="total number of nodes (default: inferred)")
-    partition.add_argument("--compare", action="store_true",
-                           help="also partition with the other method and "
-                                "report the cut-size difference")
-    partition.set_defaults(handler=_command_partition)
 
     sql_info = subparsers.add_parser(
         "sql-info", help="report which SQL execution backends are usable")

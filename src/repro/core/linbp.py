@@ -136,19 +136,6 @@ class LinBP:
                         "epsilon": self.coupling.epsilon}
         return result
 
-    def _apply_update(self, explicit: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
-        """One application of Eq. 6 (or Eq. 7 without echo cancellation).
-
-        Retained for experimentation and tests; the hot path now lives in
-        :meth:`repro.engine.batch.BatchWorkspace.step`, which computes the
-        same update over preallocated buffers.
-        """
-        propagated = self._adjacency @ beliefs @ self._residual
-        if self.echo_cancellation:
-            echo = (self._degrees[:, None] * beliefs) @ self._residual_squared
-            return explicit + propagated - echo
-        return explicit + propagated
-
     # ------------------------------------------------------------------ #
     # closed-form solution (Proposition 7)
     # ------------------------------------------------------------------ #

@@ -49,7 +49,7 @@ __all__ = ["PropagationPlan", "GraphKeyedCache", "get_plan",
 PLAN_CACHE_SIZE = 32
 
 #: Plan-cache outcomes, by plan kind (``linbp`` here, ``sbp`` in
-#: :mod:`repro.engine.sbp_plan`, ``sharded`` in the shard layer).
+#: :mod:`repro.engine.sbp_plan`).
 PLAN_BUILDS = counter("repro_plan_builds_total",
                       "Propagation plans built (cache misses), by kind.")
 PLAN_CACHE_HITS = counter("repro_plan_cache_hits_total",

@@ -1,12 +1,12 @@
 """Unified telemetry: metrics, tracing spans, convergence profiling.
 
 One dependency-free observability layer for the whole reproduction —
-the measurement substrate the ROADMAP's tuning work (micro-batch
-windows, cache TTLs, repartition thresholds) reads from:
+the measurement substrate the tuning work (micro-batch windows, cache
+TTLs) reads from:
 
 * :mod:`repro.obs.metrics` — thread-safe counters, gauges and
   fixed-bucket histograms in named registries; a process-global default
-  registry (:data:`REGISTRY`) for engine/shard/span metrics, plus
+  registry (:data:`REGISTRY`) for engine, service and span metrics, plus
   always-on per-instance registries for state that backs public
   contracts (the propagation service's ``stats()``);
 * :mod:`repro.obs.trace` — ``with span("engine.sweep", engine="batch")``

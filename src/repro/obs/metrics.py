@@ -294,7 +294,7 @@ class MetricsRegistry:
         return out
 
 
-#: The process-wide default registry: engine, shard and span metrics.
+#: The process-wide default registry: engine, service and span metrics.
 REGISTRY = MetricsRegistry()
 
 

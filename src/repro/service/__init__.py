@@ -7,9 +7,8 @@ that layer for the reproduction:
 * :mod:`repro.service.service` — :class:`PropagationService`: versioned
   graph snapshots (mutations ride the existing ΔSBP / incremental-LinBP
   paths and bump a snapshot id), bounded-staleness reads over a short
-  snapshot history, incremental partition repair on sharded graphs with
-  drift-triggered background re-partitioning, maintained views, a
-  TTL+LRU result cache, and coalesced one-shot queries;
+  snapshot history, maintained views, a TTL+LRU result cache, and
+  coalesced one-shot queries;
 * :mod:`repro.service.spec` — :class:`QuerySpec`, the frozen parameter
   object shared by :meth:`PropagationService.query`, the coalescer's
   batch key, and the wire protocol;
@@ -39,11 +38,7 @@ from repro.service.coalescer import MicroBatcher
 from repro.service.harness import HarnessRun, ServiceHarness
 from repro.service.protocol import ServiceSession, error_code
 from repro.service.server import LineProtocolServer, serve_stream
-from repro.service.service import (
-    GraphSnapshot,
-    PropagationService,
-    ShardedSnapshot,
-)
+from repro.service.service import GraphSnapshot, PropagationService
 from repro.service.spec import QuerySpec
 
 __all__ = [
@@ -57,7 +52,6 @@ __all__ = [
     "AsyncServiceServer",
     "serve_async",
     "GraphSnapshot",
-    "ShardedSnapshot",
     "PropagationService",
     "QuerySpec",
 ]

@@ -46,7 +46,7 @@ from typing import Optional, Tuple
 
 from repro.exceptions import ValidationError
 from repro.obs import counter
-from repro.service.protocol import ServiceSession
+from repro.service.protocol import ServiceSession, _render_error
 
 __all__ = ["AsyncServiceServer", "serve_async"]
 
@@ -63,6 +63,9 @@ DEFAULT_MAX_INFLIGHT = 8
 #: Default worker threads executing requests (coalescing needs enough
 #: workers for concurrent arrivals to overlap inside the batch window).
 DEFAULT_WORKERS = 16
+#: Longest request line read, in bytes (asyncio's default stream limit).
+#: A longer line is answered with one ``error`` line and skipped.
+LINE_LIMIT = 2 ** 16
 
 
 class AsyncServiceServer:
@@ -121,7 +124,7 @@ class AsyncServiceServer:
             raise ValidationError("server is already started")
         self._shutdown_event = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+            self._handle_connection, host, port, limit=LINE_LIMIT)
         return self.address
 
     @property
@@ -177,7 +180,18 @@ class AsyncServiceServer:
         try:
             while not self._shutdown_event.is_set():
                 try:
-                    line = await reader.readline()
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as error:
+                    line = error.partial  # EOF, maybe after a last line
+                except asyncio.LimitOverrunError:
+                    # One reply for the whole oversized line: drop it
+                    # through its newline so its tail is not a request.
+                    await responses.put(_resolved(loop, _render_error(
+                        0, "too-large", f"request line exceeds the "
+                                        f"{LINE_LIMIT}-byte line limit")))
+                    if await _skip_line(reader):
+                        continue
+                    break
                 except (ConnectionError, OSError):
                     break
                 if not line:
@@ -217,11 +231,9 @@ class AsyncServiceServer:
         if self._pending >= self.max_pending:
             self.stats["rejected"] += 1
             REJECTIONS.inc()
-            future = loop.create_future()
-            future.set_result((self.session.overload_response(
+            return _resolved(loop, self.session.overload_response(
                 line, f"server overloaded: {self._pending} requests in "
-                      f"flight (max_pending={self.max_pending})"), True))
-            return future
+                      f"flight (max_pending={self.max_pending})"))
         self._pending += 1
         self.stats["requests"] += 1
 
@@ -252,6 +264,26 @@ class AsyncServiceServer:
                 # connection's transport also unblocks its reader loop.
                 self.request_shutdown()
                 return
+
+
+def _resolved(loop: asyncio.AbstractEventLoop,
+              response: str) -> "asyncio.Future":
+    """A reply future that is already done (no handler runs)."""
+    future = loop.create_future()
+    future.set_result((response, True))
+    return future
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> bool:
+    """Discard input through the next newline; ``False`` at EOF."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            return False
 
 
 async def serve_async(session: Optional[ServiceSession] = None, *,

@@ -130,8 +130,7 @@ class ServiceHarness:
         Identical dealing and ordering to :meth:`run_concurrent`, but
         each request may carry ``"op": "update"`` to mutate the graph
         mid-stream — the shape that exercises snapshot versioning,
-        incremental partition repair, and bounded-staleness reads all
-        at once.  Query results are
+        view repair, and bounded-staleness reads all at once.  Query results are
         :class:`~repro.core.results.PropagationResult` objects, update
         results are the new snapshots.
         """

@@ -107,7 +107,7 @@ ERROR_CODES: Tuple[Tuple[type, str], ...] = (
 
 #: Protocol-level codes (not mapped from exceptions): ``bad-json``,
 #: ``bad-request``, ``bad-version``, ``unknown-op``, ``missing-field``,
-#: ``overloaded``, ``internal``.
+#: ``overloaded``, ``too-large``, ``internal``.
 
 
 def error_code(exception: BaseException) -> str:

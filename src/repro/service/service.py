@@ -62,7 +62,6 @@ from repro.core.incremental import IncrementalLinBP
 from repro.core.results import PropagationResult
 from repro.core.sbp import SBP
 from repro.coupling.matrices import CouplingMatrix
-from repro.engine import backend as array_backend
 from repro.engine import batch as engine_batch
 from repro.engine import plan as engine_plan
 from repro.engine import precision as engine_precision
@@ -73,16 +72,8 @@ from repro.obs import MetricsRegistry, counter, span
 from repro.service.coalescer import MicroBatcher
 from repro.service.spec import METHODS as _METHODS
 from repro.service.spec import QuerySpec
-from repro.shard import block_engine as shard_engine
-from repro.shard import pool as shard_pool
-from repro.shard import repair as shard_repair
-from repro.shard.partition import (
-    GraphPartition,
-    PartitionStats,
-    partition_graph,
-)
 
-__all__ = ["GraphSnapshot", "ShardedSnapshot", "PropagationService"]
+__all__ = ["GraphSnapshot", "PropagationService"]
 
 #: Process-global telemetry (honours ``REPRO_OBS_DISABLED``); the
 #: request accounting behind ``stats()`` lives on each service's own
@@ -90,9 +81,6 @@ __all__ = ["GraphSnapshot", "ShardedSnapshot", "PropagationService"]
 RESULT_CACHE_LOOKUPS = counter(
     "repro_service_result_cache_lookups_total",
     "Result-cache probes on the query path, by outcome (hit/miss).")
-SHARD_REPAIRS = counter(
-    "repro_shard_repairs_total",
-    "Partition maintenance passes, by kind (incremental/full).")
 
 
 def _require_finite(beliefs: Union[Mapping[int, np.ndarray], np.ndarray]
@@ -141,16 +129,7 @@ def _check_config_value(key: str, value: object) -> None:
         return (isinstance(value, (int, float))
                 and not isinstance(value, bool) and value >= minimum)
 
-    if key == "shards":
-        if not is_int(1):
-            reject("an integer >= 1")
-    elif key == "shard_method":
-        if value not in ("bfs", "hash"):
-            reject("one of ['bfs', 'hash']")
-    elif key == "shard_executor":
-        if value not in ("pool", "sequential"):
-            reject("one of ['pool', 'sequential']")
-    elif key == "window_ms":
+    if key == "window_ms":
         if not is_number(0.0):
             reject("a number >= 0 (milliseconds; 0 disables coalescing)")
     elif key == "max_batch":
@@ -166,13 +145,6 @@ def _check_config_value(key: str, value: object) -> None:
     elif key == "snapshot_history":
         if not is_int(0):
             reject("an integer >= 0 (0 disables stale serving)")
-    elif key == "incremental_repartition":
-        if not isinstance(value, bool):
-            reject("true or false")
-    elif key == "repartition_drift":
-        if value is not None and not is_number(0.0):
-            reject("a number >= 0 or null (null disables the background "
-                   "re-partition)")
 
 
 @dataclass(frozen=True)
@@ -186,23 +158,6 @@ class GraphSnapshot:
     name: str
     version: int
     graph: Graph
-
-
-@dataclass(frozen=True)
-class ShardedSnapshot(GraphSnapshot):
-    """A graph snapshot carrying its shard partition.
-
-    Installed by services created with ``shards=p > 1``: registration and
-    every edge mutation (which builds a successor graph) repartition the
-    new graph, so the partition is always exactly as current as the
-    snapshot it rides on.  LinBP-family queries against a sharded
-    snapshot dispatch through the block engine
-    (:func:`repro.shard.block_engine.run_sharded_batch`); SBP queries
-    keep the single-matrix path (the single-pass geodesic sweep has no
-    block-Jacobi analogue).
-    """
-
-    partition: GraphPartition
 
 
 class _MaintainedView:
@@ -241,27 +196,11 @@ class _GraphEntry:
         self.snapshot = snapshot
         self.views: Dict[str, _MaintainedView] = {}
         self.lock = threading.RLock()
-        # Sharded execution state: the (lazily created) shard executor for
-        # the current snapshot's partition.  ``executor_lock`` serialises
-        # executor use — a worker pool runs one batch at a time.
-        self.executor = None
-        self.executor_lock = threading.Lock()
         # Recent snapshots, oldest first and ending in the current one.
         # A *tuple*, replaced wholesale on every install: staleness-bounded
         # queries read it with one attribute load, lock-free — the same
         # discipline as ``snapshot`` itself.
         self.history: Tuple[GraphSnapshot, ...] = (snapshot,)
-        # Incremental-repartition accounting (sharded snapshots only):
-        # cut stats at the last *full* partition, repair/re-partition
-        # counters, the current drift, and the background re-partition
-        # thread (at most one per graph).
-        self.baseline_stats: Optional[PartitionStats] = None
-        self.incremental_repairs = 0
-        self.full_repartitions = 0
-        self.cut_drift = 0.0
-        self.repartition_thread: Optional[threading.Thread] = None
-        if isinstance(snapshot, ShardedSnapshot):
-            self.baseline_stats = snapshot.partition.stats()
 
 
 class PropagationService:
@@ -277,65 +216,21 @@ class PropagationService:
         TTL keeps results until evicted by LRU or a graph update.
     clock:
         Monotonic clock, injectable for tests (drives the TTL).
-    shards:
-        Number of shards per registered graph.  ``1`` (default) keeps
-        the single-matrix engine; ``p > 1`` partitions every graph on
-        registration (and re-partitions on every edge mutation) and
-        routes LinBP-family queries through the block engine.
-    shard_method:
-        Partitioner for sharded graphs (``"bfs"`` or ``"hash"``, see
-        :func:`repro.shard.partition.partition_graph`).
-    shard_executor:
-        ``"pool"`` (default) runs shards on a
-        :class:`~repro.shard.pool.ShardWorkerPool` of worker processes;
-        ``"sequential"`` keeps everything in-process (deterministic,
-        debuggable, no extra processes).  Pools are created lazily per
-        graph, survive across queries, and are torn down when the graph
-        is re-partitioned, unregistered, or the service is closed.
     snapshot_history:
         How many *past* snapshots to retain per graph (beyond the
         current one) for staleness-bounded reads: a query carrying
         ``max_staleness=s`` may be answered from the result cache of any
         version within ``s`` of current (see :meth:`query`).  ``0``
         disables stale serving.
-    incremental_repartition:
-        When ``True`` (default) an edge mutation on a sharded graph
-        *repairs* the partition — only the shards owning a delta
-        endpoint rebuild their row blocks and halo maps
-        (:func:`repro.shard.repair.repair_partition`), identical to a
-        fresh partition under the same assignment — instead of
-        re-running the BFS grower.  ``False`` restores the full
-        re-partition on every edge update.
-    repartition_drift:
-        Cut-quality drift threshold for the background re-partition:
-        when the repaired partition's cut fraction exceeds the last full
-        partition's by more than this, a daemon thread re-runs the
-        partitioner and atomically swaps the fresh partition in (same
-        graph, same version — query results are unaffected).  ``None``
-        disables the background pass entirely.
     """
 
     def __init__(self, window_seconds: float = 0.002, max_batch: int = 16,
                  result_cache_size: int = 256,
                  result_ttl_seconds: Optional[float] = 300.0,
                  clock: Callable[[], float] = time.monotonic,
-                 shards: int = 1, shard_method: str = "bfs",
-                 shard_executor: str = "pool",
-                 snapshot_history: int = 4,
-                 incremental_repartition: bool = True,
-                 repartition_drift: Optional[float] = 0.25):
-        if shards < 1:
-            raise ValidationError("shards must be >= 1")
-        if shard_executor not in ("pool", "sequential"):
-            raise ValidationError(
-                f"unknown shard_executor {shard_executor!r}; expected "
-                f"'pool' or 'sequential'")
+                 snapshot_history: int = 4):
         if snapshot_history < 0:
             raise ValidationError("snapshot_history must be >= 0")
-        if repartition_drift is not None and not repartition_drift >= 0.0:
-            raise ValidationError(
-                "repartition_drift must be >= 0 (or None to disable the "
-                "background re-partition)")
         self._lock = threading.RLock()
         self._graphs: Dict[str, _GraphEntry] = {}
         self.batcher = MicroBatcher(window_seconds=window_seconds,
@@ -362,13 +257,7 @@ class PropagationService:
         self._m_snapshot_version = self.registry.gauge(
             "repro_service_snapshot_version",
             "Current snapshot version, by graph.")
-        self._shards = int(shards)
-        self._shard_method = shard_method
-        self._shard_executor = shard_executor
         self._snapshot_history = int(snapshot_history)
-        self._incremental_repartition = bool(incremental_repartition)
-        self._repartition_drift = repartition_drift if repartition_drift \
-            is None else float(repartition_drift)
         #: Spec used for queries that pass ``spec=None``.  Plain
         #: construction leaves it unset (``None`` → ``QuerySpec()``);
         #: :meth:`from_config` installs the artifact's ``query`` section
@@ -386,10 +275,8 @@ class PropagationService:
     #: milliseconds (artifacts are human-edited JSON; 2.0 ms reads
     #: better than 0.002 s) and mapped onto ``window_seconds`` here.
     _CONFIG_SERVICE_KEYS = (
-        "shards", "shard_method", "shard_executor", "window_ms",
-        "max_batch", "result_cache_size", "result_ttl_seconds",
-        "snapshot_history", "incremental_repartition",
-        "repartition_drift")
+        "window_ms", "max_batch", "result_cache_size", "result_ttl_seconds",
+        "snapshot_history")
 
     @classmethod
     def from_config(cls, config: Dict[str, object], *,
@@ -402,7 +289,7 @@ class PropagationService:
 
             {"version": 1,
              "kind": "repro-serving-config",        # optional
-             "service": {"shards": 1, "window_ms": 2.0, ...},
+             "service": {"window_ms": 2.0, "max_batch": 16, ...},
              "query":   {"dtype": "float32", ...},  # optional
              "meta":    {...}}                      # optional, ignored
 
@@ -487,13 +374,8 @@ class PropagationService:
     # graph registry and snapshots
     # ------------------------------------------------------------------ #
     def register_graph(self, name: str, graph: Graph) -> GraphSnapshot:
-        """Register ``graph`` under ``name`` at version 0.
-
-        On a sharded service (``shards > 1``) the graph is partitioned
-        here — the one-time cost that every subsequent query amortises —
-        and the snapshot is a :class:`ShardedSnapshot`.
-        """
-        snapshot = self._build_snapshot(name, 0, graph)
+        """Register ``graph`` under ``name`` at version 0."""
+        snapshot = GraphSnapshot(name=name, version=0, graph=graph)
         with self._lock:
             if name in self._graphs:
                 raise ValidationError(f"graph {name!r} is already registered")
@@ -502,48 +384,10 @@ class PropagationService:
         return snapshot
 
     def unregister_graph(self, name: str) -> None:
-        """Drop a graph, its views, executors and cached results."""
+        """Drop a graph, its views and cached results."""
         with self._lock:
-            entry = self._graphs.pop(name, None)
-            if entry is None:
+            if self._graphs.pop(name, None) is None:
                 raise ValidationError(f"unknown graph {name!r}")
-        self._close_entry_executor(entry)
-
-    def close(self) -> None:
-        """Shut down every shard executor (idempotent).
-
-        Only needed on sharded services with the pool executor (worker
-        processes and shared-memory segments are OS resources); safe to
-        call on any service.  Registered graphs stay queryable — the
-        next sharded query lazily builds a fresh executor.
-        """
-        self.join_repartitions(timeout=10.0)
-        with self._lock:
-            entries = list(self._graphs.values())
-        for entry in entries:
-            self._close_entry_executor(entry)
-
-    def __enter__(self) -> "PropagationService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _build_snapshot(self, name: str, version: int,
-                        graph: Graph) -> GraphSnapshot:
-        if self._shards > 1:
-            partition = partition_graph(graph, self._shards,
-                                        method=self._shard_method)
-            return ShardedSnapshot(name=name, version=version, graph=graph,
-                                   partition=partition)
-        return GraphSnapshot(name=name, version=version, graph=graph)
-
-    @staticmethod
-    def _close_entry_executor(entry: "_GraphEntry") -> None:
-        with entry.executor_lock:
-            executor, entry.executor = entry.executor, None
-        if executor is not None:
-            executor.close()
 
     def snapshot(self, name: str) -> GraphSnapshot:
         """The current immutable snapshot of a registered graph."""
@@ -705,12 +549,6 @@ class PropagationService:
 
             def dispatch(items: List[object]) -> Sequence[PropagationResult]:
                 explicits = [item[0] for item in items]
-                if isinstance(snapshot, ShardedSnapshot):
-                    return self._dispatch_sharded(
-                        entry, snapshot, coupling, echo, explicits,
-                        max_iterations=max_iterations, tolerance=tolerance,
-                        num_iterations=num_iterations,
-                        dtype=dtype, precision=precision)
                 if precision == "auto":
                     results, _ = engine_precision.run_batch_auto(
                         snapshot.graph, coupling, explicits,
@@ -738,95 +576,6 @@ class PropagationService:
 
         return self.batcher.submit(batch_key, (explicit, result_key),
                                    dispatch_and_cache)
-
-    # ------------------------------------------------------------------ #
-    # sharded execution
-    # ------------------------------------------------------------------ #
-    def _dispatch_sharded(self, entry: "_GraphEntry",
-                          snapshot: "ShardedSnapshot",
-                          coupling: CouplingMatrix, echo: bool,
-                          explicits: List[np.ndarray],
-                          max_iterations: int, tolerance: float,
-                          num_iterations: Optional[int],
-                          dtype=None, precision: str = "strict"
-                          ) -> Sequence[PropagationResult]:
-        """Run one coalesced batch through the shard block engine.
-
-        The graph entry's executor (worker pool or sequential) is
-        created lazily and reused across batches; executor use is
-        serialised by the entry's executor lock (one batch at a time per
-        graph — the pool owns a single set of belief buffers).  A batch
-        wider than the pool's buffer capacity falls back to a one-off
-        in-process execution rather than failing.
-
-        Auto precision evaluates the Lemma-8 certificate on the global
-        (cached, float64) plan before choosing the block plan's dtype:
-        certified batches sweep float32 shard blocks, refusals sweep
-        exact float64 (no presolve — the pool runs one dtype at a time,
-        and seeding would double its traffic).
-        """
-        if dtype is None:
-            dtype = array_backend.DEFAULT_DTYPE
-        decision = None
-        if precision == "auto":
-            plan64 = engine_plan.get_plan(snapshot.graph, coupling,
-                                          echo_cancellation=echo)
-            decision = engine_precision.decide_linbp(
-                plan64, tolerance,
-                scale=engine_precision.explicit_scale(explicits))
-            dtype = np.float32 if decision.certified else np.float64
-        plan = shard_engine.get_sharded_plan(snapshot.partition, coupling,
-                                             echo_cancellation=echo,
-                                             dtype=dtype)
-        width = len(explicits) * coupling.num_classes
-        with entry.executor_lock:
-            executor = entry.executor
-            if executor is None \
-                    or executor.partition is not snapshot.partition:
-                if executor is not None:
-                    executor.close()
-                executor = self._make_executor(snapshot.partition,
-                                               coupling.num_classes)
-                entry.executor = executor
-            capacity = getattr(executor, "capacity", None)
-            if capacity is None or width <= capacity:
-                results = shard_engine.run_sharded_batch(
-                    plan, explicits, max_iterations=max_iterations,
-                    tolerance=tolerance, num_iterations=num_iterations,
-                    executor=executor)
-            else:
-                executor = None
-        if executor is None:
-            results = shard_engine.run_sharded_batch(
-                plan, explicits, max_iterations=max_iterations,
-                tolerance=tolerance, num_iterations=num_iterations)
-        if decision is not None:
-            payload = decision.as_extra()
-            for result in results:
-                result.extra["precision"] = dict(payload)
-        return results
-
-    def _make_executor(self, partition: GraphPartition, num_classes: int):
-        """Build the configured shard executor for one partition.
-
-        The pool's buffer capacity is sized so a full coalesced batch
-        (``max_batch`` queries) of the *triggering* coupling's classes
-        fits; a later coupling with more classes than this falls back to
-        the in-process path for its oversized batches.  Pool creation
-        can fail on platforms without working ``multiprocessing``/
-        ``shared_memory`` (or in sandboxes denying process spawns); the
-        service degrades to the in-process executor rather than failing
-        queries.
-        """
-        if self._shard_executor == "pool":
-            try:
-                return shard_pool.ShardWorkerPool(
-                    partition,
-                    max_columns=max(shard_pool.DEFAULT_MAX_COLUMNS,
-                                    self.batcher.max_batch * num_classes))
-            except (OSError, ValueError, ImportError):
-                pass
-        return shard_engine.SequentialShardExecutor(partition)
 
     # ------------------------------------------------------------------ #
     # maintained views
@@ -944,149 +693,12 @@ class PropagationService:
                 for view in entry.views.values():
                     view.last_result = \
                         view.runner.add_explicit_beliefs(new_beliefs)
-            if graph is old.graph and isinstance(old, ShardedSnapshot):
-                # Belief-only updates keep the graph object: reuse the
-                # partition (and, downstream, the live executor).
-                snapshot = ShardedSnapshot(name=graph_name,
-                                           version=old.version + 1,
-                                           graph=graph,
-                                           partition=old.partition)
-            elif (edges is not None and isinstance(old, ShardedSnapshot)
-                  and self._incremental_repartition):
-                # Edge delta on a sharded graph: repair only the shards
-                # owning a delta endpoint instead of re-running the
-                # partitioner — identical blocks, a fraction of the work.
-                with span("shard.repair", graph=graph_name,
-                          edges=len(edges)) as repair_span:
-                    repaired = shard_repair.repair_partition(old.partition,
-                                                             graph, edges)
-                    repair_span.set_tag("repaired_shards",
-                                        len(repaired.repaired_shards))
-                SHARD_REPAIRS.inc(kind="incremental")
-                snapshot = ShardedSnapshot(name=graph_name,
-                                           version=old.version + 1,
-                                           graph=graph,
-                                           partition=repaired.partition)
-                entry.incremental_repairs += 1
-                if entry.baseline_stats is not None:
-                    entry.cut_drift = shard_repair.cut_drift(
-                        entry.baseline_stats, repaired.partition.stats())
-            else:
-                snapshot = self._build_snapshot(graph_name, old.version + 1,
-                                                graph)
-                if isinstance(snapshot, ShardedSnapshot):
-                    entry.baseline_stats = snapshot.partition.stats()
-                    entry.cut_drift = 0.0
+            snapshot = GraphSnapshot(name=graph_name,
+                                     version=old.version + 1, graph=graph)
             self._install_snapshot(entry, snapshot)
-            schedule_repartition = (
-                self._repartition_drift is not None
-                and isinstance(snapshot, ShardedSnapshot)
-                and entry.cut_drift > self._repartition_drift)
-            if schedule_repartition:
-                self._schedule_repartition(graph_name, entry, graph)
             self._m_updates.inc(graph=graph_name)
             self._m_snapshot_version.set(snapshot.version, graph=graph_name)
-        if graph is not old.graph:
-            # Edge mutations installed a new graph (and, when sharded, a
-            # new partition): retire the executor built for the old
-            # partition.  The next sharded query builds a fresh one.
-            self._close_entry_executor(entry)
         return snapshot
-
-    # ------------------------------------------------------------------ #
-    # background re-partitioning
-    # ------------------------------------------------------------------ #
-    def _schedule_repartition(self, graph_name: str, entry: "_GraphEntry",
-                              graph: Graph) -> None:
-        """Kick off a background full re-partition (at most one per graph).
-
-        Called under the entry's mutation lock.  The daemon thread runs
-        the partitioner off the update path; if yet another edge update
-        lands while it runs, the swap is abandoned (the newer update's
-        own drift check will schedule a fresh pass).
-        """
-        thread = entry.repartition_thread
-        if thread is not None and thread.is_alive():
-            return
-        thread = threading.Thread(
-            target=self._background_repartition,
-            args=(graph_name, entry, graph),
-            name=f"repartition-{graph_name}", daemon=True)
-        entry.repartition_thread = thread
-        thread.start()
-
-    def _background_repartition(self, graph_name: str, entry: "_GraphEntry",
-                                graph: Graph) -> None:
-        try:
-            with span("shard.repartition", graph=graph_name,
-                      shards=self._shards):
-                partition = partition_graph(graph, self._shards,
-                                            method=self._shard_method)
-        except Exception:
-            return  # a failed background pass must never hurt the service
-        if self._swap_partition(graph_name, entry, graph, partition):
-            SHARD_REPAIRS.inc(kind="full")
-
-    def _swap_partition(self, graph_name: str, entry: "_GraphEntry",
-                        graph: Graph, partition: GraphPartition) -> bool:
-        """Install a freshly grown partition for an unchanged graph.
-
-        Same graph object, same version — only the shard layout changes,
-        so cached results and in-flight queries are untouched.  Returns
-        ``False`` (a no-op) when a newer update superseded ``graph``
-        while the partitioner ran.
-        """
-        with entry.lock:
-            current = entry.snapshot
-            if current.graph is not graph \
-                    or not isinstance(current, ShardedSnapshot):
-                return False
-            snapshot = ShardedSnapshot(name=graph_name,
-                                       version=current.version,
-                                       graph=graph, partition=partition)
-            entry.snapshot = snapshot
-            if entry.history and entry.history[-1] is current:
-                entry.history = entry.history[:-1] + (snapshot,)
-            entry.baseline_stats = partition.stats()
-            entry.full_repartitions += 1
-            entry.cut_drift = 0.0
-        # The old executor was built for the replaced partition.
-        self._close_entry_executor(entry)
-        return True
-
-    def repartition_now(self, graph_name: str) -> bool:
-        """Synchronously re-run the partitioner for one sharded graph.
-
-        The foreground twin of the drift-triggered background pass
-        (useful for tests and operational tooling).  Returns ``True``
-        when a fresh partition was installed, ``False`` when the graph
-        is not sharded or was mutated mid-pass.
-        """
-        entry = self._entry(graph_name)
-        snapshot = entry.snapshot
-        if not isinstance(snapshot, ShardedSnapshot):
-            return False
-        graph = snapshot.graph
-        partition = partition_graph(graph, self._shards,
-                                    method=self._shard_method)
-        return self._swap_partition(graph_name, entry, graph, partition)
-
-    def join_repartitions(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every in-flight background re-partition to finish.
-
-        Returns ``True`` when none are left running (always, with no
-        ``timeout``).  Tests use this to make the background swap
-        deterministic; operationally it is a drain hook for shutdown.
-        """
-        with self._lock:
-            entries = list(self._graphs.values())
-        done = True
-        for entry in entries:
-            thread = entry.repartition_thread
-            if thread is not None:
-                thread.join(timeout)
-                done = done and not thread.is_alive()
-        return done
 
     @staticmethod
     def _check_belief_update(graph: Graph, view: _MaintainedView,
@@ -1138,30 +750,8 @@ class PropagationService:
         stale_hits = int(self._m_stale_hits.value())
         versions = {}
         views = {}
-        shard_info = {}
         for name, entry in entries.items():
             versions[name] = entry.snapshot.version
-            snapshot = entry.snapshot
-            if isinstance(snapshot, ShardedSnapshot):
-                partition_stats = snapshot.partition.stats()
-                # Plain read: the lock is held for whole batches, and a
-                # stats call must not stall behind a running dispatch.
-                executor = entry.executor
-                repartition_thread = entry.repartition_thread
-                shard_info[name] = {
-                    "num_shards": partition_stats.num_shards,
-                    "method": partition_stats.method,
-                    "cut_edges": partition_stats.cut_edges,
-                    "cut_fraction": partition_stats.cut_fraction,
-                    "balance": partition_stats.balance,
-                    "executor": type(executor).__name__
-                    if executor is not None else None,
-                    "incremental_repairs": entry.incremental_repairs,
-                    "full_repartitions": entry.full_repartitions,
-                    "cut_drift": entry.cut_drift,
-                    "repartition_pending": repartition_thread is not None
-                    and repartition_thread.is_alive(),
-                }
             # View dicts mutate under the per-graph lock (create_view), so
             # read them under the same lock to keep iteration safe.
             with entry.lock:
@@ -1177,7 +767,6 @@ class PropagationService:
             "stale_hits": stale_hits,
             "graphs": versions,
             "views": views,
-            "shards": shard_info,
             "coalescer": dict(self.batcher.stats),
             "result_cache": {"size": len(self.results),
                              **self.results.stats},

@@ -1,13 +1,13 @@
 """``repro.tune`` — ablation and autotuning over the serving knob space.
 
-The serving stack grew many interacting knobs — shard count, partition
-method, executor, micro-batch window, cache sizes, TTLs, dtype/
-precision policy, convergence tolerance — and this package is the
-structured answer to *which of them earn their keep on a given graph*:
+The serving stack has several interacting knobs — micro-batch window,
+cache sizes, TTLs, dtype/precision policy, convergence tolerance — and
+this package is the structured answer to *which of them earn their
+keep on a given graph*:
 
 * :mod:`repro.tune.space` — the typed config-space model: parameter
-  declarations with validity predicates and capability gates, and
-  content-addressed config hashing → stable run IDs;
+  declarations with validity gates, and content-addressed config
+  hashing → stable run IDs;
 * :mod:`repro.tune.runner` — the ablation runner: executes candidate
   configs against a seeded :meth:`ServiceHarness.run_mixed` closed loop
   (or an engine-only ``run_batch`` drive) with crash isolation and
@@ -49,12 +49,10 @@ from repro.tune.select import (
     select_config,
 )
 from repro.tune.space import (
-    MIN_NODES_PER_SHARD,
     QUERY_KEYS,
     SERVICE_KEYS,
     ConfigSpace,
     Parameter,
-    TuneContext,
     config_id,
     service_config_space,
 )
@@ -62,12 +60,10 @@ from repro.tune.space import (
 __all__ = [
     "Parameter",
     "ConfigSpace",
-    "TuneContext",
     "config_id",
     "service_config_space",
     "SERVICE_KEYS",
     "QUERY_KEYS",
-    "MIN_NODES_PER_SHARD",
     "Workload",
     "RunMetrics",
     "RunRecord",

@@ -11,19 +11,18 @@ Measurement discipline (the part that makes reports trustworthy):
 
 * **Metrics come off the registries, not ad-hoc counters.**  Latency
   percentiles and throughput are read from the harness's
-  :class:`~repro.service.harness.HarnessRun`; request/cache/sweep/
-  repair accounting is read off :mod:`repro.obs` — the service's own
+  :class:`~repro.service.harness.HarnessRun`; request/cache/sweep
+  accounting is read off :mod:`repro.obs` — the service's own
   always-on registry (fresh per run, because the service is) and a
   before/after *delta* of the process-global registry for the
   engine-level series (``repro_engine_sweeps_total``,
-  ``repro_service_result_cache_lookups_total``,
-  ``repro_shard_repairs_total``, the coalescer counters).  The runner
-  temporarily enables global telemetry around the measured drive and
-  restores the caller's setting afterwards.
+  ``repro_service_result_cache_lookups_total``, the coalescer
+  counters).  The runner temporarily enables global telemetry around
+  the measured drive and restores the caller's setting afterwards.
 * **Fairness.**  Every run clears the engine's plan caches and drives
-  the workload once un-measured (plan builds, lazy executors, thread
-  pools) before the measured drive, so the first candidate is not
-  taxed for warming what later candidates inherit.
+  the workload once un-measured (plan builds, thread pools) before the
+  measured drive, so the first candidate is not taxed for warming what
+  later candidates inherit.
 * **Crash isolation.**  A configuration that raises mid-run is recorded
   as a ``failed`` :class:`RunRecord` carrying the error text; the sweep
   continues.  A configuration that exceeds ``run_timeout_seconds`` is
@@ -55,7 +54,6 @@ from repro.exceptions import ValidationError
 from repro.tune.space import (
     SERVICE_KEYS,
     ConfigSpace,
-    TuneContext,
     config_id,
     service_config_space,
 )
@@ -78,7 +76,6 @@ _GLOBAL_COUNTERS = (
     "repro_plan_builds_total",
     "repro_plan_cache_hits_total",
     "repro_service_result_cache_lookups_total",
-    "repro_shard_repairs_total",
     "repro_coalescer_batches_total",
     "repro_coalescer_coalesced_requests_total",
 )
@@ -135,8 +132,6 @@ class RunMetrics:
     cache_hit_rate: float
     sweeps: int
     plan_builds: int
-    repairs_incremental: int
-    repairs_full: int
     stale_hits: int
     coalesced_batches: int
 
@@ -155,8 +150,6 @@ class RunMetrics:
             "cache_hit_rate": self.cache_hit_rate,
             "sweeps": self.sweeps,
             "plan_builds": self.plan_builds,
-            "repairs_incremental": self.repairs_incremental,
-            "repairs_full": self.repairs_full,
             "stale_hits": self.stale_hits,
             "coalesced_batches": self.coalesced_batches,
         }
@@ -332,14 +325,8 @@ def _counter_delta(before: Dict, after: Dict, name: str,
 # measurement
 # ---------------------------------------------------------------------- #
 def _service_artifact(config: Dict[str, object]) -> Dict[str, object]:
-    """The from_config artifact for one candidate (background passes off).
-
-    ``repartition_drift`` is pinned to ``None`` so no drift-triggered
-    daemon thread runs during a measurement — the sweep must be
-    deterministic and self-contained.
-    """
+    """The from_config artifact for one candidate."""
     service = {key: config[key] for key in SERVICE_KEYS if key in config}
-    service["repartition_drift"] = None
     return {"version": 1, "service": service}
 
 
@@ -355,7 +342,7 @@ def _query_spec(workload: Workload, config: Dict[str, object]):
 
 
 def _drive_mixed(workload: Workload, config: Dict[str, object]):
-    """One full service lifecycle: build, register, drive, tear down."""
+    """One full service lifecycle: build, register, drive."""
     from repro.service import PropagationService, ServiceHarness
 
     spec = _query_spec(workload, config)
@@ -373,12 +360,9 @@ def _drive_mixed(workload: Workload, config: Dict[str, object]):
                              "spec": spec,
                              "max_staleness": payload["max_staleness"]})
     service = PropagationService.from_config(_service_artifact(config))
-    try:
-        service.register_graph(workload.graph_name, workload.graph)
-        harness = ServiceHarness(service)
-        run = harness.run_mixed(requests, num_clients=workload.num_clients)
-    finally:
-        service.close()
+    service.register_graph(workload.graph_name, workload.graph)
+    harness = ServiceHarness(service)
+    run = harness.run_mixed(requests, num_clients=workload.num_clients)
     return service, run
 
 
@@ -485,11 +469,6 @@ def measure_config(workload: Workload,
                                   "repro_engine_sweeps_total")),
         plan_builds=int(_counter_delta(before, after,
                                        "repro_plan_builds_total")),
-        repairs_incremental=int(_counter_delta(
-            before, after, "repro_shard_repairs_total",
-            kind="incremental")),
-        repairs_full=int(_counter_delta(
-            before, after, "repro_shard_repairs_total", kind="full")),
         stale_hits=stale_hits,
         coalesced_batches=int(_counter_delta(
             before, after, "repro_coalescer_batches_total")),
@@ -509,8 +488,6 @@ class AblationRunner:
     space:
         The :class:`~repro.tune.space.ConfigSpace` (default: the
         serving space).
-    context:
-        Gate context; detected from the workload's graph by default.
     run_timeout_seconds:
         Wall-clock budget per measured run; a run that exceeds it is
         recorded as ``timeout`` and its worker thread abandoned.
@@ -526,7 +503,6 @@ class AblationRunner:
 
     def __init__(self, workload: Workload, *,
                  space: Optional[ConfigSpace] = None,
-                 context: Optional[TuneContext] = None,
                  run_timeout_seconds: float = 120.0,
                  measure: Optional[Callable[[Workload, Dict], RunMetrics]]
                  = None,
@@ -535,8 +511,6 @@ class AblationRunner:
             raise ValidationError("run_timeout_seconds must be > 0")
         self.workload = workload
         self.space = space if space is not None else service_config_space()
-        self.context = context if context is not None \
-            else TuneContext.detect(workload.graph)
         self.run_timeout_seconds = float(run_timeout_seconds)
         self.measure = measure if measure is not None else measure_config
         self.progress = progress
@@ -552,7 +526,7 @@ class AblationRunner:
         cached = self.records.get(run_id)
         if cached is not None:
             return cached
-        reasons = self.space.validate(config, self.context)
+        reasons = self.space.validate(config)
         if reasons:
             record = RunRecord(run_id=run_id, config=dict(config),
                                status="skipped", error="; ".join(reasons))
@@ -608,7 +582,7 @@ class AblationRunner:
         baseline = self.run_config(baseline_config)
         runs: List[Tuple[str, object, RunRecord]] = []
         for parameter, value, config, skip_reason in \
-                self.space.one_factor_configs(baseline_config, self.context):
+                self.space.one_factor_configs(baseline_config):
             if skip_reason is not None:
                 record = self._finish(RunRecord(
                     run_id=config_id(config), config=config,

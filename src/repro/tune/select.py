@@ -17,7 +17,7 @@ The emitted artifact is exactly what
 
     {"version": 1,
      "kind": "repro-serving-config",
-     "service": {"shards": 1, "window_ms": 2.0, ...},
+     "service": {"window_ms": 2.0, "max_batch": 16, ...},
      "query":   {"dtype": "float64", "precision": "strict",
                  "tolerance": 1e-10},
      "meta":    {...provenance: run IDs, metrics, workload...}}
@@ -102,7 +102,7 @@ def select_config(runner: AblationRunner, *, rounds: int = 2,
         raise ValidationError("rounds must be >= 1")
     if margin < 0:
         raise ValidationError("margin must be >= 0")
-    space, context = runner.space, runner.context
+    space = runner.space
     incumbent_config = space.default_config()
     baseline = runner.run_baseline()
     if not baseline.ok:
@@ -117,7 +117,7 @@ def select_config(runner: AblationRunner, *, rounds: int = 2,
         for parameter in space.names():
             best: Optional[Tuple[float, Dict, RunRecord, object]] = None
             for name, value, config, skip_reason in \
-                    space.one_factor_configs(incumbent_config, context):
+                    space.one_factor_configs(incumbent_config):
                 if name != parameter:
                     continue
                 entry = {"round": round_index, "parameter": parameter,

@@ -1,18 +1,16 @@
 """The serving-config knob space: typed parameters, gates, stable run IDs.
 
-PRs 1-8 grew the reproduction into a serving system with many
-interacting knobs — shard count, partition method, executor,
-micro-batch window, cache sizes, TTLs, precision policy, convergence
-tolerance.  This module turns that implicit knob sprawl into an
-explicit, typed **configuration space**:
+The serving system has several interacting knobs — micro-batch window,
+cache sizes, TTLs, precision policy, convergence tolerance.  This
+module turns that implicit knob sprawl into an explicit, typed
+**configuration space**:
 
 * :class:`Parameter` — one knob: a name, a kind (categorical / int /
   float), the discrete candidate values the tuner may try, a default,
-  and an optional *gate* — a validity predicate over ``(value, config,
-  context)`` that prices a value against the graph being served and the
-  host's capabilities ("``shards > 1`` requires a graph of at least N
-  nodes", "the pool executor requires working ``multiprocessing``").
-  A gate returns ``None`` when the value is admissible and a short
+  and an optional *gate* — a validity predicate over ``(value,
+  config)`` that prices a value against the rest of the configuration
+  ("``dtype="float32"`` is inert under ``precision="auto"``").  A gate
+  returns ``None`` when the value is admissible and a short
   human-readable reason when it is not — the reason lands verbatim in
   ablation reports, so a skipped configuration is always explained.
 * :class:`ConfigSpace` — an ordered collection of parameters with the
@@ -27,15 +25,12 @@ explicit, typed **configuration space**:
   on it.
 * :func:`service_config_space` — the concrete knob space of
   :class:`~repro.service.service.PropagationService` plus the per-query
-  solver knobs (dtype / precision / tolerance), with capability gates
-  reusing the same probes the backends use
-  (:data:`repro.engine.backend.HAVE_NUMBA`-style import checks,
-  ``os.cpu_count()``).
+  solver knobs (dtype / precision / tolerance).
 
 The space is deliberately *discrete*: every parameter enumerates the
 handful of values worth trying, because the tuner's unit of work — one
 closed-loop harness drive — is far too expensive for continuous
-optimisation, and the interesting decisions ("does sharding pay off
+optimisation, and the interesting decisions ("does coalescing pay off
 here at all?") are categorical anyway.
 """
 
@@ -43,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -52,71 +46,16 @@ from repro.exceptions import ValidationError
 __all__ = [
     "Parameter",
     "ConfigSpace",
-    "TuneContext",
     "config_id",
     "service_config_space",
     "SERVICE_KEYS",
     "QUERY_KEYS",
-    "MIN_NODES_PER_SHARD",
 ]
 
-#: A gate prices one value in the context of a full configuration and a
-#: tuning context; ``None`` means admissible, a string is the reason the
-#: value is not (shown verbatim in reports).
-Gate = Callable[[object, Dict[str, object], "TuneContext"], Optional[str]]
-
-#: ``shards = p`` is only admissible when the graph has at least this
-#: many nodes per shard — below that the halo exchange dominates the
-#: per-shard work and the configuration is never competitive.
-MIN_NODES_PER_SHARD = 64
-
-
-@dataclass(frozen=True)
-class TuneContext:
-    """What gates may look at: the graph's size and the host's abilities.
-
-    ``capabilities`` maps capability names (``"pool"``, ``"numba"``,
-    ``"cupy"``, ``"duckdb"``) to booleans; :meth:`detect` probes them
-    the same way the backends themselves do, so a gate can never admit
-    a configuration the execution layer would refuse.
-    """
-
-    num_nodes: int
-    num_edges: int
-    cpu_count: int = 1
-    capabilities: Tuple[Tuple[str, bool], ...] = ()
-
-    def capability(self, name: str) -> bool:
-        return dict(self.capabilities).get(name, False)
-
-    @classmethod
-    def detect(cls, graph) -> "TuneContext":
-        """Build a context for ``graph`` by probing the current host."""
-        import importlib.util
-
-        from repro.engine.backend import HAVE_NUMBA
-
-        capabilities = (
-            ("pool", _have_pool()),
-            ("numba", bool(HAVE_NUMBA)),
-            ("cupy", importlib.util.find_spec("cupy") is not None),
-            ("duckdb", importlib.util.find_spec("duckdb") is not None),
-        )
-        return cls(num_nodes=graph.num_nodes, num_edges=graph.num_edges,
-                   cpu_count=os.cpu_count() or 1,
-                   capabilities=capabilities)
-
-
-def _have_pool() -> bool:
-    """Whether ``multiprocessing`` + ``shared_memory`` are importable."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-        import multiprocessing
-
-        multiprocessing.cpu_count()
-    except (ImportError, NotImplementedError, OSError):
-        return False
-    return True
+#: A gate prices one value in the context of a full configuration;
+#: ``None`` means admissible, a string is the reason the value is not
+#: (shown verbatim in reports).
+Gate = Callable[[object, Dict[str, object]], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -148,14 +87,14 @@ class Parameter:
                 f"parameter {self.name!r}: default {self.default!r} is not "
                 f"among its values {list(self.values)}")
 
-    def check(self, value: object, config: Dict[str, object],
-              context: TuneContext) -> Optional[str]:
+    def check(self, value: object,
+              config: Dict[str, object]) -> Optional[str]:
         """``None`` when ``value`` is admissible here, else the reason."""
         if value not in self.values:
             return (f"{value!r} is not a candidate value of "
                     f"{self.name!r} (expected one of {list(self.values)})")
         if self.gate is not None:
-            return self.gate(value, config, context)
+            return self.gate(value, config)
         return None
 
 
@@ -204,8 +143,7 @@ class ConfigSpace:
         """The baseline configuration: every parameter at its default."""
         return {parameter.name: parameter.default for parameter in self}
 
-    def validate(self, config: Dict[str, object],
-                 context: TuneContext) -> List[str]:
+    def validate(self, config: Dict[str, object]) -> List[str]:
         """Every reason ``config`` is inadmissible (empty = valid).
 
         Unknown keys and missing parameters are defects too — a
@@ -221,13 +159,13 @@ class ConfigSpace:
             if parameter.name not in config:
                 reasons.append(f"missing parameter {parameter.name!r}")
                 continue
-            reason = parameter.check(config[parameter.name], config, context)
+            reason = parameter.check(config[parameter.name], config)
             if reason is not None:
                 reasons.append(f"{parameter.name}: {reason}")
         return reasons
 
     def one_factor_configs(
-            self, baseline: Dict[str, object], context: TuneContext,
+            self, baseline: Dict[str, object]
     ) -> List[Tuple[str, object, Dict[str, object], Optional[str]]]:
         """The one-factor-at-a-time neighbourhood of ``baseline``.
 
@@ -236,8 +174,8 @@ class ConfigSpace:
         ``config`` is the baseline with that single knob changed.
         Inadmissible changes are *returned, not dropped* — their
         ``skip_reason`` explains the gate that refused them, so the
-        ablation report can show "pool executor: skipped (no working
-        multiprocessing)" instead of silently omitting a row.
+        ablation report can show "dtype float32: skipped (auto precision
+        chooses its own dtype)" instead of silently omitting a row.
         """
         neighbours = []
         for parameter in self:
@@ -245,7 +183,7 @@ class ConfigSpace:
                 if value == baseline.get(parameter.name):
                     continue
                 config = dict(baseline, **{parameter.name: value})
-                reasons = self.validate(config, context)
+                reasons = self.validate(config)
                 neighbours.append((parameter.name, value, config,
                                    "; ".join(reasons) or None))
         return neighbours
@@ -289,56 +227,15 @@ def config_id(config: Dict[str, object]) -> str:
 #: service constructor knobs).  Everything else in the space is a
 #: per-query knob.
 SERVICE_KEYS = (
-    "shards", "shard_method", "shard_executor", "window_ms", "max_batch",
-    "result_cache_size", "result_ttl_seconds", "snapshot_history",
-    "incremental_repartition",
+    "window_ms", "max_batch", "result_cache_size", "result_ttl_seconds",
+    "snapshot_history",
 )
 
 #: Config keys that parameterise the queries (``QuerySpec`` fields).
 QUERY_KEYS = ("dtype", "precision", "tolerance")
 
 
-def _gate_shards(value, config, context):
-    if value == 1:
-        return None
-    if context.num_nodes < value * MIN_NODES_PER_SHARD:
-        return (f"shards={value} requires a graph of at least "
-                f"{value * MIN_NODES_PER_SHARD} nodes "
-                f"(got {context.num_nodes})")
-    return None
-
-
-def _needs_shards(default):
-    """Gate factory: the knob is inert at ``shards == 1``.
-
-    The *default* value stays admissible (an unsharded config legitimately
-    carries ``shard_method: "bfs"`` — the knob is inert, not invalid);
-    only *changing* the knob on an unsharded config is refused, so
-    sweeps don't waste runs re-measuring configurations that cannot
-    differ.
-    """
-
-    def gate(value, config, context):
-        if config.get("shards", 1) == 1 and value != default:
-            return "only meaningful when shards > 1"
-        return None
-
-    return gate
-
-
-def _gate_executor(value, config, context):
-    if config.get("shards", 1) == 1 and value != "sequential":
-        return "only meaningful when shards > 1"
-    if value == "pool":
-        if not context.capability("pool"):
-            return "the pool executor needs working multiprocessing"
-        if context.cpu_count < 2:
-            return (f"the pool executor needs >= 2 CPUs "
-                    f"(got {context.cpu_count})")
-    return None
-
-
-def _gate_float32(value, config, context):
+def _gate_float32(value, config):
     if value == "float32" and config.get("precision") == "auto":
         return ("auto precision chooses its own dtype; pin "
                 "precision='strict' to force float32")
@@ -349,25 +246,9 @@ def service_config_space() -> ConfigSpace:
     """The standard knob space of the propagation serving stack.
 
     High-leverage knobs first (the coordinate-descent tuner walks the
-    declaration order): execution layout, then batching, then caching,
-    then numerics.
+    declaration order): batching, then caching, then numerics.
     """
     return ConfigSpace([
-        Parameter("shards", "int", (1, 2, 4), 1,
-                  help="partitions per graph (1 = single-matrix engine)",
-                  gate=_gate_shards),
-        Parameter("shard_method", "categorical", ("bfs", "hash"), "bfs",
-                  help="partitioner for sharded graphs",
-                  gate=_needs_shards("bfs")),
-        Parameter("shard_executor", "categorical",
-                  ("sequential", "pool"), "sequential",
-                  help="shard sweeps in-process or on a worker pool",
-                  gate=_gate_executor),
-        Parameter("incremental_repartition", "categorical",
-                  (True, False), True,
-                  help="repair the partition on edge deltas instead of "
-                       "re-running the partitioner",
-                  gate=_needs_shards(True)),
         Parameter("window_ms", "float", (0.0, 0.5, 2.0, 5.0), 2.0,
                   help="micro-batch collection window (0 disables "
                        "coalescing)"),

@@ -130,8 +130,7 @@ class TestPlanCache:
         clear_plan_cache()
         info = plan_cache_info()
         assert info == {"size": 0, "binary_size": 0, "hits": 0, "misses": 0,
-                        "sbp_size": 0, "sbp_hits": 0, "sbp_misses": 0,
-                        "shard_size": 0, "shard_hits": 0, "shard_misses": 0}
+                        "sbp_size": 0, "sbp_hits": 0, "sbp_misses": 0}
 
 
 class TestBinarySolverCache:

@@ -4,8 +4,7 @@
 their expected final beliefs, iteration counts and convergence flags, as
 computed by the in-memory engines when the fixture was recorded.  One
 parametrized test runs *every* execution path — the batched engine, the
-sharded block engine, the SQLite backend, and DuckDB when installed —
-against the same fixture.  Any future
+SQLite backend, and DuckDB when installed — against the same fixture.  Any future
 engine divergence, however subtle, fails here first.
 
 Regenerate a fixture only for an intentional semantic change, by re-running
@@ -68,18 +67,6 @@ def _run_batch_engine(golden, echo):
                      tolerance=golden["data"]["tolerance"])[0]
 
 
-def _run_sharded_engine(golden, echo):
-    from repro import shard
-
-    partition = shard.partition_graph(golden["graph"], 2, method="bfs")
-    plan = shard.get_sharded_plan(partition, golden["coupling"],
-                                  echo_cancellation=echo)
-    return shard.run_sharded_batch(
-        plan, [golden["explicit"]],
-        max_iterations=golden["data"]["max_iterations"],
-        tolerance=golden["data"]["tolerance"])[0]
-
-
 def _run_backend_engine(name):
     def runner(golden, echo):
         with get_backend(name) as backend:
@@ -94,7 +81,6 @@ def _run_backend_engine(name):
 
 LINBP_ENGINES = {
     "batch": _run_batch_engine,
-    "sharded": _run_sharded_engine,
     "sqlite": _run_backend_engine("sqlite"),
     "duckdb": _run_backend_engine("duckdb"),
 }

@@ -69,20 +69,20 @@ class TestBaselineValidation:
 
 
 class TestSuites:
-    def test_shard_suite_defaults_to_shard_baseline(self, tmp_path):
+    def test_sql_suite_defaults_to_sql_baseline(self, tmp_path):
         # With no BENCH file at the given path, the error message names
         # the resolved baseline — proving the suite switched defaults.
-        completed = _run("--compare", "--suite", "shard", "--baseline",
-                         str(tmp_path / "BENCH_shard.json"))
+        completed = _run("--compare", "--suite", "sql", "--baseline",
+                         str(tmp_path / "BENCH_sql.json"))
         assert completed.returncode != 0
-        assert "BENCH_shard.json" in completed.stderr
+        assert "BENCH_sql.json" in completed.stderr
 
     def test_unknown_suite_rejected_listing_choices(self):
         completed = _run("--compare", "--suite", "turbo")
         assert completed.returncode != 0
         assert "unknown benchmark suite 'turbo'" in completed.stderr
         # The error must hand the operator the fix: every valid name.
-        for name in ("engine", "shard", "sql", "precision", "all"):
+        for name in ("engine", "sql", "precision", "all"):
             assert name in completed.stderr
 
     def test_precision_suite_defaults_to_precision_baseline(self, tmp_path):
@@ -112,8 +112,8 @@ class TestSuites:
         sys.path.insert(0, str(SCRIPT.parent))
         try:
             import bench_record
-            for name in ("BENCH_sbp.json", "BENCH_shard.json",
-                         "BENCH_precision.json", "BENCH_tune.json"):
+            for name in ("BENCH_sbp.json", "BENCH_precision.json",
+                         "BENCH_tune.json"):
                 baseline = bench_record.load_baseline(REPO_ROOT / name)
                 assert baseline["kernels"]
         finally:

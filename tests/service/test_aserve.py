@@ -254,3 +254,60 @@ class TestAdmissionControl:
         # A closed-loop client never exceeds one in-flight request, so
         # max_pending=1 must not reject anything.
         assert all(json.loads(raw)["ok"] for raw in responses)
+
+
+class TestLongLines:
+    """A line over the 64 KiB stream limit is answered once and skipped."""
+
+    @staticmethod
+    def _big_load_graph() -> str:
+        edges = [[node, 9000 + node] for node in range(9000)]
+        return _line(v=1, op="load_graph", name="big", edges=edges)
+
+    @pytest.mark.parametrize("writes", [1, 8])
+    def test_oversized_line_then_stats_on_one_connection(self, writes):
+        from repro.service.aserve import LINE_LIMIT
+
+        big = self._big_load_graph()
+        assert len(big) > LINE_LIMIT
+        session = _loaded_session()
+
+        async def scenario():
+            server = AsyncServiceServer(session)
+            address = await server.start()
+            reader, writer = await asyncio.open_connection(*address)
+            try:
+                payload = (big + "\n").encode()
+                step = -(-len(payload) // writes)
+                for start in range(0, len(payload), step):
+                    writer.write(payload[start:start + step])
+                    await writer.drain()
+                    if writes > 1:
+                        await asyncio.sleep(0.01)
+                writer.write((_line(v=1, op="stats") + "\n").encode())
+                await writer.drain()
+                replies = [
+                    (await asyncio.wait_for(reader.readline(), timeout=30))
+                    .decode().rstrip("\n") for _ in range(2)]
+                # No third reply, and no EOF: the connection stays open.
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(reader.readline(), timeout=0.3)
+                writer.write((_line(op="ping") + "\n").encode())
+                await writer.drain()
+                pong = await asyncio.wait_for(reader.readline(), timeout=30)
+                return replies, pong.decode().rstrip("\n")
+            finally:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
+                await server.close()
+
+        (error, stats), pong = asyncio.run(scenario())
+        assert error.startswith("error ")
+        assert str(LINE_LIMIT) in error
+        body = json.loads(stats)
+        assert body["ok"] is True and body["op"] == "stats"
+        assert pong == "ok pong"
+        assert session.service.graph_names() == ["g"]

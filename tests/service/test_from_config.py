@@ -21,16 +21,11 @@ def _artifact(**overrides):
         "version": 1,
         "kind": "repro-serving-config",
         "service": {
-            "shards": 1,
-            "shard_method": "bfs",
-            "shard_executor": "sequential",
             "window_ms": 2.0,
             "max_batch": 16,
             "result_cache_size": 256,
             "result_ttl_seconds": 300.0,
             "snapshot_history": 4,
-            "incremental_repartition": True,
-            "repartition_drift": None,
         },
         "query": {"dtype": "float64", "precision": "strict",
                   "tolerance": 1e-8},
@@ -43,53 +38,38 @@ def _artifact(**overrides):
 class TestAcceptance:
     def test_full_artifact_builds_a_configured_service(self):
         service = PropagationService.from_config(_artifact())
-        try:
-            assert service.batcher.window_seconds == pytest.approx(0.002)
-            assert service.batcher.max_batch == 16
-            assert service.default_spec == QuerySpec(tolerance=1e-8)
-        finally:
-            service.close()
+        assert service.batcher.window_seconds == pytest.approx(0.002)
+        assert service.batcher.max_batch == 16
+        assert service.default_spec == QuerySpec(tolerance=1e-8)
 
     def test_window_ms_maps_to_seconds(self):
         artifact = _artifact()
         artifact["service"]["window_ms"] = 7.5
         service = PropagationService.from_config(artifact)
-        try:
-            assert service.batcher.window_seconds == pytest.approx(0.0075)
-        finally:
-            service.close()
+        assert service.batcher.window_seconds == pytest.approx(0.0075)
 
     def test_query_and_meta_and_kind_are_optional(self):
-        artifact = {"version": 1, "service": {"shards": 1}}
+        artifact = {"version": 1, "service": {"snapshot_history": 4}}
         service = PropagationService.from_config(artifact)
-        try:
-            assert service.default_spec is None
-        finally:
-            service.close()
+        assert service.default_spec is None
 
     def test_partial_service_section_keeps_constructor_defaults(self):
         artifact = {"version": 1, "service": {"max_batch": 4}}
         service = PropagationService.from_config(artifact)
-        try:
-            assert service.batcher.max_batch == 4
-            assert service.batcher.window_seconds == pytest.approx(0.002)
-        finally:
-            service.close()
+        assert service.batcher.max_batch == 4
+        assert service.batcher.window_seconds == pytest.approx(0.002)
 
     def test_configured_service_answers_queries(self):
         graph = random_graph(40, 0.1, seed=1)
         coupling = synthetic_residual_matrix(epsilon=0.005)
         service = PropagationService.from_config(_artifact())
-        try:
-            service.register_graph("g", graph)
-            explicit = np.zeros((40, coupling.num_classes))
-            explicit[0, 0] = 0.1
-            explicit[0, 1] = -0.1
-            # spec=None → the artifact's query section answers.
-            result = service.query("g", coupling, explicit, spec=None)
-            assert result.beliefs.shape == (40, coupling.num_classes)
-        finally:
-            service.close()
+        service.register_graph("g", graph)
+        explicit = np.zeros((40, coupling.num_classes))
+        explicit[0, 0] = 0.1
+        explicit[0, 1] = -0.1
+        # spec=None → the artifact's query section answers.
+        result = service.query("g", coupling, explicit, spec=None)
+        assert result.beliefs.shape == (40, coupling.num_classes)
 
 
 class TestRejection:
@@ -132,29 +112,31 @@ class TestRejection:
             PropagationService.from_config(
                 {"version": 1, "service": [1, 2]})
 
-    def test_unknown_service_key_names_accepted_keys(self):
+    @pytest.mark.parametrize("unknown", [
+        {"batch_window": 2.0},
+        # An artifact tuned when the service still had sharding knobs.
+        {"shards": 1, "shard_method": "bfs", "shard_executor": "sequential",
+         "incremental_repartition": True, "repartition_drift": None},
+    ], ids=["typo", "removed-sharding-keys"])
+    def test_unknown_service_key_names_accepted_keys(self, unknown):
         artifact = _artifact()
-        artifact["service"]["batch_window"] = 2.0
+        artifact["service"].update(unknown)
         with pytest.raises(ValidationError) as excinfo:
             PropagationService.from_config(artifact)
         message = str(excinfo.value)
-        assert "'batch_window'" in message
+        for key in unknown:
+            assert f"'{key}'" in message
         assert "'window_ms'" in message  # the fix is in the message
 
     @pytest.mark.parametrize("key,bad,accepted", [
-        ("shards", 0, "an integer >= 1"),
-        ("shards", 2.5, "an integer >= 1"),
-        ("shards", True, "an integer >= 1"),
-        ("shard_method", "metis", "one of ['bfs', 'hash']"),
-        ("shard_executor", "threads", "one of ['pool', 'sequential']"),
         ("window_ms", -1.0, "a number >= 0"),
         ("window_ms", "fast", "a number >= 0"),
         ("max_batch", 0, "an integer >= 1"),
+        ("max_batch", 2.5, "an integer >= 1"),
+        ("max_batch", True, "an integer >= 1"),
         ("result_cache_size", -1, "an integer >= 0"),
         ("result_ttl_seconds", -5.0, "a number >= 0 or null"),
         ("snapshot_history", -1, "an integer >= 0"),
-        ("incremental_repartition", "yes", "true or false"),
-        ("repartition_drift", -0.1, "a number >= 0 or null"),
     ])
     def test_bad_value_names_key_and_accepted_values(self, key, bad,
                                                      accepted):
@@ -190,16 +172,10 @@ class TestRejection:
 class TestDefaultSpec:
     def test_explicit_spec_still_wins_over_default_spec(self):
         service = PropagationService.from_config(_artifact())
-        try:
-            assert service._resolve_spec(None) is service.default_spec
-            tight = QuerySpec(tolerance=1e-12)
-            assert service._resolve_spec(tight) is tight
-        finally:
-            service.close()
+        assert service._resolve_spec(None) is service.default_spec
+        tight = QuerySpec(tolerance=1e-12)
+        assert service._resolve_spec(tight) is tight
 
     def test_plain_construction_has_no_default_spec(self):
         service = PropagationService()
-        try:
-            assert service.default_spec is None
-        finally:
-            service.close()
+        assert service.default_spec is None

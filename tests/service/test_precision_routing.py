@@ -1,4 +1,4 @@
-"""Service-layer dtype/precision routing: params keys, extras, sharded path."""
+"""Service-layer dtype/precision routing: params keys and extras."""
 
 from __future__ import annotations
 
@@ -110,32 +110,3 @@ class TestAutoRouting:
         payload = result.extra["precision"]
         assert payload["certified"] is True
         assert result.beliefs.dtype == np.float32
-
-
-class TestShardedRouting:
-    def test_sharded_strict_float32(self):
-        graph, coupling, explicit = _workload(num_nodes=120)
-        service = _service(graph, shards=2, shard_executor="sequential")
-        result = service.query("g", coupling, explicit,
-                               QuerySpec(dtype="float32"))
-        assert result.beliefs.dtype == np.float32
-
-    def test_sharded_auto_certifies_and_attaches_decision(self):
-        graph, coupling, explicit = _workload(num_nodes=120)
-        service = _service(graph, shards=2, shard_executor="sequential")
-        result = service.query("g", coupling, explicit,
-                               QuerySpec(precision="auto",
-                                         tolerance=1e-3))
-        payload = result.extra["precision"]
-        assert payload["certified"] is True
-        assert result.beliefs.dtype == np.float32
-
-    def test_sharded_auto_fallback_matches_unsharded_exact(self):
-        graph, coupling, explicit = _workload(num_nodes=120)
-        service = _service(graph, shards=2, shard_executor="sequential")
-        result = service.query("g", coupling, explicit,
-                               QuerySpec(precision="auto"))
-        assert result.extra["precision"]["certified"] is False
-        assert result.beliefs.dtype == np.float64
-        sequential = linbp(graph, coupling, explicit)
-        assert np.abs(result.beliefs - sequential.beliefs).max() < 1e-9

@@ -135,7 +135,7 @@ class TestStatsShapeDifferential:
         assert stats["graphs"] == {"g": 1}
         assert set(stats) == {
             "queries", "updates", "stale_hits", "graphs", "views",
-            "shards", "coalescer", "result_cache", "plan_cache"}
+            "coalescer", "result_cache", "plan_cache"}
         assert set(stats["coalescer"]) == {
             "requests", "batches", "coalesced_requests", "largest_batch"}
 

@@ -125,11 +125,7 @@ def _replay() -> List[Tuple[str, str]]:
     replies = []
     for lines in _sessions():
         session = ServiceSession(window_seconds=0.0)
-        try:
-            replies += [(line, session.handle_line(line)[0])
-                        for line in lines]
-        finally:
-            session.service.close()
+        replies += [(line, session.handle_line(line)[0]) for line in lines]
     return replies
 
 

@@ -324,8 +324,7 @@ class TestNonFiniteBeliefs:
         service = PropagationService(window_seconds=0.0)
         service.register_graph("g", graph)
         service.create_view("g", "base", coupling, explicit_list[0])
-        yield service, coupling, explicit_list[0]
-        service.close()
+        return service, coupling, explicit_list[0]
 
     @staticmethod
     def _state(service):

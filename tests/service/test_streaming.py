@@ -1,11 +1,9 @@
-"""Streaming service behaviour: staleness bounds, history, repair, drift.
+"""Streaming service behaviour: staleness bounds, history, mixed traffic.
 
-The service-layer half of the ISSUE 8 tentpole: queries may pin
-snapshots up to ``max_staleness`` versions old (served from the result
-cache's history probe), edge updates on sharded graphs repair the
-partition incrementally, and accumulated cut drift schedules a
-background full re-partition that swaps in without invalidating
-anything.
+Queries may pin snapshots up to ``max_staleness`` versions old (served
+from the result cache's history probe), the history window keeps the
+last few versions, and the mixed harness interleaves edge updates with
+queries that must match a direct solve at their snapshot version.
 """
 
 from __future__ import annotations
@@ -132,88 +130,10 @@ class TestBoundedStaleness:
         assert service.stats()["stale_hits"] == 0
 
 
-class TestIncrementalRepair:
-    def _sharded(self, graph, **kwargs):
-        service = PropagationService(window_seconds=0.0, shards=2,
-                                     shard_executor="sequential", **kwargs)
-        service.register_graph("g", graph)
-        return service
-
-    def test_edge_update_repairs_instead_of_rebuilding(self):
-        graph, coupling, explicit = _workload(num_nodes=80)
-        with self._sharded(graph) as service:
-            snapshot = service.update(
-                "g", new_edges=_missing_edges(graph, 3))
-            info = service.stats()["shards"]["g"]
-            assert info["incremental_repairs"] == 1
-            assert info["full_repartitions"] == 0
-            result = service.query("g", coupling, explicit,
-                                   QuerySpec(num_iterations=8))
-            direct = linbp(snapshot.graph, coupling, explicit,
-                           num_iterations=8)
-            assert np.abs(result.beliefs - direct.beliefs).max() < 1e-10
-
-    def test_repair_can_be_disabled(self):
-        graph, _, _ = _workload(num_nodes=80)
-        with self._sharded(graph, incremental_repartition=False) as service:
-            service.update("g", new_edges=_missing_edges(graph, 2))
-            info = service.stats()["shards"]["g"]
-            assert info["incremental_repairs"] == 0
-
-    def test_drift_triggers_background_repartition(self):
-        graph, coupling, explicit = _workload(num_nodes=80)
-        with self._sharded(graph, repartition_drift=0.0) as service:
-            assignment = service.snapshot("g").partition.assignment
-            left = np.flatnonzero(assignment == 0)
-            right = np.flatnonzero(assignment == 1)
-            delta = [(int(u), int(v)) for u in left[:5] for v in right[:5]
-                     if graph.adjacency[int(u), int(v)] == 0]
-            assert delta
-            snapshot = service.update("g", new_edges=delta)
-            assert service.join_repartitions(timeout=30)
-            info = service.stats()["shards"]["g"]
-            assert info["full_repartitions"] == 1
-            assert info["cut_drift"] == 0.0
-            assert info["repartition_pending"] is False
-            # Same graph and version after the swap; queries unaffected.
-            current = service.snapshot("g")
-            assert current.version == snapshot.version == 1
-            assert current.graph is snapshot.graph
-            result = service.query("g", coupling, explicit,
-                                   QuerySpec(num_iterations=8))
-            direct = linbp(current.graph, coupling, explicit,
-                           num_iterations=8)
-            assert np.abs(result.beliefs - direct.beliefs).max() < 1e-10
-
-    def test_repartition_now_resets_drift(self):
-        graph, _, _ = _workload(num_nodes=80)
-        with self._sharded(graph, repartition_drift=None) as service:
-            assignment = service.snapshot("g").partition.assignment
-            left = np.flatnonzero(assignment == 0)
-            right = np.flatnonzero(assignment == 1)
-            delta = [(int(u), int(v)) for u in left[:4] for v in right[:4]
-                     if graph.adjacency[int(u), int(v)] == 0]
-            service.update("g", new_edges=delta)
-            before = service.stats()["shards"]["g"]
-            assert before["cut_drift"] > 0.0
-            assert service.repartition_now("g") is True
-            after = service.stats()["shards"]["g"]
-            assert after["full_repartitions"] == 1
-            assert after["cut_drift"] == 0.0
-
-    def test_repartition_now_is_a_noop_for_unsharded_graphs(self):
-        graph, _, _ = _workload()
-        service = PropagationService(window_seconds=0.0)
-        service.register_graph("g", graph)
-        assert service.repartition_now("g") is False
-
-
 class TestMixedHarness:
     def test_run_mixed_interleaves_updates_and_queries(self):
         graph, coupling, explicit = _workload(num_nodes=80)
-        service = PropagationService(window_seconds=0.0, shards=2,
-                                     shard_executor="sequential",
-                                     repartition_drift=None)
+        service = PropagationService(window_seconds=0.0)
         service.register_graph("g", graph)
         edges = _missing_edges(graph, 2)
         spec = QuerySpec(num_iterations=6)
@@ -237,7 +157,7 @@ class TestMixedHarness:
             direct = linbp(graphs[result.extra["snapshot_version"]],
                            coupling, explicit, num_iterations=6)
             assert np.abs(result.beliefs - direct.beliefs).max() < 1e-10
-        assert service.stats()["shards"]["g"]["incremental_repairs"] == 2
+        assert service.stats()["updates"] == 2
 
     def test_unknown_op_rejected(self):
         graph, coupling, explicit = _workload()

@@ -88,6 +88,19 @@ class TestLabelCommand:
         assert exit_code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_tolerance_reaches_plain_runs(self, cli_files, capsys):
+        graph_path, beliefs_path, coupling_path, _ = cli_files
+        base = ["label", "--graph", str(graph_path), "--beliefs",
+                str(beliefs_path), "--coupling", str(coupling_path),
+                "--epsilon", "0.3"]
+
+        def iterations(flags):
+            assert main(base + flags) == 0
+            summary = capsys.readouterr().out.splitlines()[0]
+            return int(re.search(r"(\d+) iterations", summary).group(1))
+
+        assert iterations(["--tolerance", "1e-4"]) < iterations([])
+
     def test_bad_coupling_file_reports_error(self, cli_files, capsys):
         graph_path, beliefs_path, _, tmp_path = cli_files
         bad = tmp_path / "bad.json"
@@ -114,70 +127,6 @@ class TestAnalyzeCommand:
                           "--coupling", str(coupling_path), "--mooij-kappen"])
         assert exit_code == 0
         assert "Mooij-Kappen" in capsys.readouterr().out
-
-
-class TestLabelShardedCommand:
-    def test_sharded_label_matches_single_process(self, cli_files, capsys):
-        graph_path, beliefs_path, coupling_path, _ = cli_files
-        single_exit = main([
-            "label", "--graph", str(graph_path), "--beliefs",
-            str(beliefs_path), "--coupling", str(coupling_path),
-            "--epsilon", "0.3"])
-        single_out = capsys.readouterr().out
-        sharded_exit = main([
-            "label", "--graph", str(graph_path), "--beliefs",
-            str(beliefs_path), "--coupling", str(coupling_path),
-            "--epsilon", "0.3", "--shards", "2",
-            "--shard-executor", "sequential"])
-        sharded_out = capsys.readouterr().out
-        assert single_exit == 0 and sharded_exit == 0
-        # identical label assignments and identical convergence summary
-        assert sharded_out.splitlines()[1:] == single_out.splitlines()[1:]
-
-    def test_tolerance_reaches_plain_and_sharded_runs(self, cli_files,
-                                                     capsys):
-        graph_path, beliefs_path, coupling_path, _ = cli_files
-        base = ["label", "--graph", str(graph_path), "--beliefs",
-                str(beliefs_path), "--coupling", str(coupling_path),
-                "--epsilon", "0.3"]
-        sharded = ["--shards", "2", "--shard-executor", "sequential"]
-
-        def iterations(flags):
-            assert main(base + flags) == 0
-            summary = capsys.readouterr().out.splitlines()[0]
-            return int(re.search(r"(\d+) iterations", summary).group(1))
-
-        loose = iterations(["--tolerance", "1e-4"])
-        assert iterations(["--tolerance", "1e-4"] + sharded) == loose
-        assert loose < iterations([])
-        assert iterations(sharded) == iterations([])
-
-    def test_sharded_label_pool_executor_runs(self, cli_files, capsys):
-        graph_path, beliefs_path, coupling_path, _ = cli_files
-        exit_code = main([
-            "label", "--graph", str(graph_path), "--beliefs",
-            str(beliefs_path), "--coupling", str(coupling_path),
-            "--epsilon", "0.3", "--shards", "2"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "left" in captured.out and "right" in captured.out
-
-    def test_sharded_label_rejects_non_linbp_methods(self, cli_files,
-                                                     capsys):
-        graph_path, beliefs_path, coupling_path, _ = cli_files
-        exit_code = main([
-            "label", "--graph", str(graph_path), "--beliefs",
-            str(beliefs_path), "--coupling", str(coupling_path),
-            "--method", "sbp", "--shards", "2"])
-        assert exit_code == 2
-        assert "LinBP-family" in capsys.readouterr().err
-
-    def test_shards_flag_rejects_nonsense(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([
-                "label", "--graph", "g", "--beliefs", "b",
-                "--coupling", "h", "--shards", "0"])
-        assert "positive integer" in capsys.readouterr().err
 
 
 class TestLabelBackendCommand:
@@ -220,15 +169,6 @@ class TestLabelBackendCommand:
             "--method", "bp", "--backend", "sqlite"])
         assert exit_code == 2
         assert "no relational form" in capsys.readouterr().err
-
-    def test_backend_rejects_shards(self, cli_files, capsys):
-        graph_path, beliefs_path, coupling_path, _ = cli_files
-        exit_code = main([
-            "label", "--graph", str(graph_path), "--beliefs",
-            str(beliefs_path), "--coupling", str(coupling_path),
-            "--epsilon", "0.3", "--backend", "sqlite", "--shards", "2"])
-        assert exit_code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("backend", ["postgres", "python"])
     def test_backend_flag_rejects_unknown_backend(self, capsys, backend):
@@ -303,15 +243,6 @@ class TestLabelPrecision:
         assert "precision:" in captured.err
         assert "left" in captured.out and "right" in captured.out
 
-    def test_auto_precision_sharded(self, cli_files, capsys):
-        flags = self._flags(cli_files)
-        assert main(flags + ["--shards", "2", "--shard-executor",
-                             "sequential", "--precision", "auto",
-                             "--tolerance", "1e-3"]) == 0
-        captured = capsys.readouterr()
-        assert "precision:" in captured.err
-        assert "left" in captured.out
-
     def test_dtype_rejected_for_bp(self, cli_files, capsys):
         flags = self._flags(cli_files)
         assert main(flags + ["--method", "bp", "--dtype", "float32"]) == 2
@@ -328,32 +259,6 @@ class TestLabelPrecision:
             build_parser().parse_args(["label", "--graph", "g", "--beliefs",
                                        "b", "--coupling", "c",
                                        "--dtype", "float16"])
-
-
-class TestPartitionCommand:
-    def test_reports_cut_and_balance(self, cli_files, capsys):
-        graph_path, _, _, _ = cli_files
-        exit_code = main(["partition", "--graph", str(graph_path),
-                          "--shards", "2"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "cut edges" in captured.out
-        assert "balance" in captured.out
-        assert "shard 0" in captured.out
-
-    def test_compare_reports_other_method(self, cli_files, capsys):
-        graph_path, _, _, _ = cli_files
-        exit_code = main(["partition", "--graph", str(graph_path),
-                          "--shards", "3", "--method", "bfs", "--compare"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "vs hash" in captured.out
-
-    def test_missing_graph_reports_error(self, tmp_path, capsys):
-        exit_code = main(["partition", "--graph", str(tmp_path / "no.tsv"),
-                          "--shards", "2"])
-        assert exit_code == 2
-        assert "error" in capsys.readouterr().err
 
 
 class TestServeCommand:
@@ -533,10 +438,8 @@ class TestExperimentCommand:
 
 def _fresh_artifact(tmp_path, **service_overrides):
     service = {
-        "shards": 1, "shard_method": "bfs", "shard_executor": "sequential",
         "window_ms": 0.0, "max_batch": 16, "result_cache_size": 256,
         "result_ttl_seconds": 300.0, "snapshot_history": 4,
-        "incremental_repartition": True, "repartition_drift": None,
     }
     service.update(service_overrides)
     path = tmp_path / "tuned.json"
@@ -603,8 +506,6 @@ class TestTuneCommands:
         assert exit_code == 0
         assert "Ablation report" in captured.out
         assert "baseline run-" in captured.out
-        # Sharded moves are gated out on a 60-node graph, with reasons.
-        assert "skipped" in captured.out
         document = json.loads(report_path.read_text())
         assert document["version"] == 1
         assert document["kind"] == "repro-ablation-report"
@@ -627,10 +528,7 @@ class TestTuneCommands:
         # The headline guarantee: the emitted artifact must feed straight
         # back into the serving layer.
         service = PropagationService.from_config(artifact)
-        try:
-            assert service.default_spec is not None
-        finally:
-            service.close()
+        assert service.default_spec is not None
 
     def test_tune_engine_workload(self, capsys, tmp_path):
         output = tmp_path / "tuned.json"

@@ -22,8 +22,7 @@ def _metrics(p99=0.010, throughput=100.0, cache_hit_rate=0.5, sweeps=40):
         throughput_rps=throughput, p50_seconds=p99 / 2, p99_seconds=p99,
         query_p99_seconds=p99, cache_hits=10, cache_misses=11,
         cache_hit_rate=cache_hit_rate, sweeps=sweeps, plan_builds=1,
-        repairs_incremental=0, repairs_full=0, stale_hits=2,
-        coalesced_batches=5)
+        stale_hits=2, coalesced_batches=5)
 
 
 def _ok(run_id, **metric_overrides):
@@ -45,9 +44,11 @@ def sweep():
         ("window_ms", 5.0, _ok("run-w5", p99=0.011)),
         # max_batch: mild throughput change → importance 0.05.
         ("max_batch", 4, _ok("run-b4", throughput=105.0)),
-        # shard_method: gated out entirely → importance None.
-        ("shard_method", "hash",
-         _skipped("run-sm", "only meaningful when shards > 1")),
+        # precision: gated out entirely → importance None.
+        ("precision", "auto",
+         _skipped("run-pa", "dtype: auto precision chooses its own "
+                            "dtype; pin precision='strict' to force "
+                            "float32")),
         # dtype: one failed, one measured → importance from the survivor.
         ("dtype", "float32",
          RunRecord(run_id="run-f32", config={"knob": "f32"},
@@ -82,14 +83,14 @@ class TestBuildReport:
                       for name, value, _ in report.parameters}
         assert importance["window_ms"] == pytest.approx(1.0)
         assert importance["max_batch"] == pytest.approx(0.05)
-        assert importance["shard_method"] is None
+        assert importance["precision"] is None
         assert importance["dtype"] is None  # only a failed variant
 
     def test_ranking_measured_first_then_alphabetical(self, sweep):
         baseline, runs = sweep
         report = build_report(baseline, runs)
         assert report.ranking() == [
-            "window_ms", "max_batch", "dtype", "shard_method"]
+            "window_ms", "max_batch", "dtype", "precision"]
 
     def test_skipped_and_failed_rows_are_carried_with_reasons(self, sweep):
         baseline, runs = sweep
@@ -98,9 +99,9 @@ class TestBuildReport:
         rows = {variant["run_id"]: variant
                 for parameter in document["parameters"]
                 for variant in parameter["variants"]}
-        assert rows["run-sm"]["status"] == "skipped"
-        assert "shards > 1" in rows["run-sm"]["error"]
-        assert rows["run-sm"]["deltas"] is None
+        assert rows["run-pa"]["status"] == "skipped"
+        assert "auto precision" in rows["run-pa"]["error"]
+        assert rows["run-pa"]["deltas"] is None
         assert rows["run-f32"]["status"] == "failed"
         assert "boom" in rows["run-f32"]["error"]
 
@@ -140,5 +141,5 @@ class TestRender:
                      if line.strip() and line.split()[0].isdigit()]
         assert rank_rows[0].split()[1] == "window_ms"
         assert "+100.0%" in text           # the doubled-p99 delta
-        assert "only meaningful when shards > 1" in text
+        assert "auto precision chooses its own dtype" in text
         assert "failed: Traceback: boom" in text

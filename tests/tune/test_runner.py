@@ -35,8 +35,7 @@ def _fake_metrics(p99=0.01, throughput=100.0):
         requests=10, queries=9, updates=1, elapsed_seconds=0.1,
         throughput_rps=throughput, p50_seconds=p99 / 2, p99_seconds=p99,
         query_p99_seconds=p99, cache_hits=3, cache_misses=6,
-        cache_hit_rate=0.33, sweeps=12, plan_builds=1,
-        repairs_incremental=0, repairs_full=0, stale_hits=0,
+        cache_hit_rate=0.33, sweeps=12, plan_builds=1, stale_hits=0,
         coalesced_batches=2)
 
 
@@ -176,10 +175,10 @@ class TestRunnerIsolation:
 
         runner = AblationRunner(workload, measure=measure)
         config = dict(service_config_space().default_config(),
-                      shards=4)  # 80-node graph: inadmissible
+                      dtype="float32", precision="auto")
         record = runner.run_config(config)
         assert record.status == "skipped"
-        assert "requires a graph of at least" in record.error
+        assert "auto precision" in record.error
 
     def test_records_are_memoised_by_run_id(self, workload):
         calls = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.tune import (
     QUERY_KEYS,
     SERVICE_KEYS,
     AblationRunner,
+    ConfigSpace,
     RunMetrics,
     config_id,
     make_artifact,
@@ -38,8 +40,7 @@ def _metrics(p99, throughput):
         requests=12, queries=11, updates=1, elapsed_seconds=0.12,
         throughput_rps=throughput, p50_seconds=p99 / 2, p99_seconds=p99,
         query_p99_seconds=p99, cache_hits=5, cache_misses=6,
-        cache_hit_rate=0.45, sweeps=30, plan_builds=1,
-        repairs_incremental=0, repairs_full=0, stale_hits=1,
+        cache_hit_rate=0.45, sweeps=30, plan_builds=1, stale_hits=1,
         coalesced_batches=4)
 
 
@@ -111,10 +112,19 @@ class TestSelectConfig:
         assert below
 
     def test_trace_records_every_evaluation(self, workload):
-        runner = AblationRunner(workload, measure=_window_measure)
+        # Start from auto precision, where the float32 pin is gated out.
+        space = ConfigSpace([
+            dataclasses.replace(parameter, default="auto")
+            if parameter.name == "precision" else parameter
+            for parameter in service_config_space()])
+        runner = AblationRunner(workload, space=space,
+                                measure=_window_measure)
         selection = select_config(runner, rounds=1, margin=0.02)
         statuses = {entry["status"] for entry in selection.trace}
-        assert "skipped" in statuses  # sharded moves on an 80-node graph
+        assert "skipped" in statuses
+        assert all("auto precision" in entry["reason"]
+                   for entry in selection.trace
+                   if entry["status"] == "skipped")
         accepted = [entry for entry in selection.trace
                     if entry["accepted"]]
         assert accepted and accepted[0]["parameter"] == "window_ms"
@@ -167,14 +177,11 @@ class TestArtifact:
         runner = AblationRunner(workload, measure=_window_measure)
         selection = select_config(runner, rounds=1, margin=0.02)
         service = PropagationService.from_config(selection.artifact())
-        try:
-            assert service.default_spec is not None
-            assert service.default_spec.tolerance == \
-                selection.config["tolerance"]
-            assert service.batcher.window_seconds == pytest.approx(
-                selection.config["window_ms"] / 1000.0)
-        finally:
-            service.close()
+        assert service.default_spec is not None
+        assert service.default_spec.tolerance == \
+            selection.config["tolerance"]
+        assert service.batcher.window_seconds == pytest.approx(
+            selection.config["window_ms"] / 1000.0)
 
     def test_rejects_incomplete_configs(self):
         partial = service_config_space().default_config()

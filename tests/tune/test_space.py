@@ -6,21 +6,13 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.tune import (
-    MIN_NODES_PER_SHARD,
     QUERY_KEYS,
     SERVICE_KEYS,
     ConfigSpace,
     Parameter,
-    TuneContext,
     config_id,
     service_config_space,
 )
-
-
-def _context(num_nodes=1000, cpu_count=1, capabilities=()):
-    return TuneContext(num_nodes=num_nodes, num_edges=4 * num_nodes,
-                       cpu_count=cpu_count,
-                       capabilities=tuple(capabilities))
 
 
 class TestParameter:
@@ -34,9 +26,9 @@ class TestParameter:
 
     def test_check_rejects_non_candidate_value(self):
         parameter = Parameter("x", "int", (1, 2), 1)
-        reason = parameter.check(9, {"x": 9}, _context())
+        reason = parameter.check(9, {"x": 9})
         assert "not a candidate value" in reason
-        assert parameter.check(2, {"x": 2}, _context()) is None
+        assert parameter.check(2, {"x": 2}) is None
 
 
 class TestConfigSpace:
@@ -49,36 +41,40 @@ class TestConfigSpace:
         space = service_config_space()
         config = space.default_config()
         assert sorted(config) == sorted(space.names())
-        assert space.validate(config, _context()) == []
+        assert space.validate(config) == []
 
     def test_unknown_and_missing_keys_are_defects(self):
         space = service_config_space()
         config = space.default_config()
-        config.pop("shards")
+        config.pop("window_ms")
         config["bogus"] = 1
-        reasons = space.validate(config, _context())
+        reasons = space.validate(config)
         assert any("unknown parameter" in r and "bogus" in r
                    for r in reasons)
-        assert any("missing parameter 'shards'" in r for r in reasons)
+        assert any("missing parameter 'window_ms'" in r for r in reasons)
 
     def test_one_factor_keeps_inadmissible_changes_with_reasons(self):
         space = service_config_space()
-        baseline = space.default_config()
-        # Too small for any sharded variant: every shards>1 change must
-        # still be *returned*, carrying the gate's reason.
-        neighbours = space.one_factor_configs(
-            baseline, _context(num_nodes=MIN_NODES_PER_SHARD))
-        sharded = [(v, reason) for name, v, _, reason in neighbours
-                   if name == "shards"]
-        assert sharded and all(reason is not None for _, reason in sharded)
-        for _, reason in sharded:
-            assert "requires a graph of at least" in reason
+        baseline = dict(space.default_config(), precision="auto")
+        # Under auto precision a float32 pin is inadmissible: the change
+        # must still be *returned*, carrying the gate's reason.
+        neighbours = space.one_factor_configs(baseline)
+        pinned = [reason for name, value, _, reason in neighbours
+                  if (name, value) == ("dtype", "float32")]
+        assert len(pinned) == 1
+        assert "auto precision" in pinned[0]
+        admitted = [name for name, _, _, reason in neighbours
+                    if reason is None]
+        assert "dtype" not in admitted and "window_ms" in admitted
+
+    def test_service_and_query_keys_cover_the_space(self):
+        assert sorted(SERVICE_KEYS + QUERY_KEYS) == \
+            sorted(service_config_space().names())
 
     def test_one_factor_changes_exactly_one_knob(self):
         space = service_config_space()
         baseline = space.default_config()
-        for name, value, config, _ in space.one_factor_configs(
-                baseline, _context()):
+        for name, value, config, _ in space.one_factor_configs(baseline):
             changed = {key for key in config
                        if config[key] != baseline[key]}
             assert changed == {name}
@@ -86,52 +82,14 @@ class TestConfigSpace:
 
 
 class TestGates:
-    def test_shards_gate_scales_with_graph_size(self):
-        space = service_config_space()
-        baseline = space.default_config()
-        big = _context(num_nodes=4 * MIN_NODES_PER_SHARD)
-        neighbours = {(n, v): reason for n, v, _, reason in
-                      space.one_factor_configs(baseline, big)}
-        assert neighbours[("shards", 2)] is None
-        assert neighbours[("shards", 4)] is None
-
-    def test_shard_knobs_inert_at_one_shard_but_default_admissible(self):
-        space = service_config_space()
-        baseline = space.default_config()
-        assert baseline["shards"] == 1
-        # The default config itself is valid even though it carries
-        # shard_method etc. — the knobs are inert, not invalid.
-        assert space.validate(baseline, _context()) == []
-        neighbours = {(n, v): reason for n, v, _, reason in
-                      space.one_factor_configs(baseline, _context())}
-        assert "only meaningful when shards > 1" in \
-            neighbours[("shard_method", "hash")]
-
-    def test_pool_executor_needs_capability_and_cores(self):
-        space = service_config_space()
-        sharded = dict(space.default_config(), shards=2)
-        no_pool = _context(num_nodes=1000, cpu_count=4, capabilities=())
-        reasons = space.validate(dict(sharded, shard_executor="pool"),
-                                 no_pool)
-        assert any("multiprocessing" in r for r in reasons)
-        one_cpu = _context(num_nodes=1000, cpu_count=1,
-                           capabilities=(("pool", True),))
-        reasons = space.validate(dict(sharded, shard_executor="pool"),
-                                 one_cpu)
-        assert any(">= 2 CPUs" in r for r in reasons)
-        capable = _context(num_nodes=1000, cpu_count=4,
-                           capabilities=(("pool", True),))
-        assert space.validate(dict(sharded, shard_executor="pool"),
-                              capable) == []
-
     def test_float32_requires_strict_precision(self):
         space = service_config_space()
         config = dict(space.default_config(), dtype="float32",
                       precision="auto")
-        reasons = space.validate(config, _context())
+        reasons = space.validate(config)
         assert any("auto precision" in r for r in reasons)
         config["precision"] = "strict"
-        assert space.validate(config, _context()) == []
+        assert space.validate(config) == []
 
 
 class TestConfigId:
@@ -145,8 +103,7 @@ class TestConfigId:
         space = service_config_space()
         baseline = space.default_config()
         seen = {config_id(baseline)}
-        for _, _, config, _ in space.one_factor_configs(
-                baseline, _context()):
+        for _, _, config, _ in space.one_factor_configs(baseline):
             run_id = config_id(config)
             assert run_id not in seen, config
             seen.add(run_id)
@@ -154,20 +111,3 @@ class TestConfigId:
     def test_rejects_non_scalar_values(self):
         with pytest.raises(ValidationError):
             config_id({"x": [1, 2]})
-
-
-class TestContext:
-    def test_detect_reads_graph_and_host(self):
-        from repro.graphs import random_graph
-
-        graph = random_graph(40, 0.1, seed=1)
-        context = TuneContext.detect(graph)
-        assert context.num_nodes == 40
-        assert context.cpu_count >= 1
-        # Capability probes answer definitively either way.
-        assert isinstance(context.capability("pool"), bool)
-        assert isinstance(context.capability("duckdb"), bool)
-
-    def test_service_and_query_keys_cover_the_space(self):
-        assert sorted(SERVICE_KEYS + QUERY_KEYS) == \
-            sorted(service_config_space().names())
