@@ -17,6 +17,11 @@ harness finishes in minutes; pass ``--bench-max-index`` to grow them.
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
+from typing import Callable, List
+
+import numpy as np
 import pytest
 
 from repro.datasets import kronecker_suite
@@ -45,3 +50,74 @@ def attach_table(benchmark, table) -> None:
     benchmark.extra_info["table"] = table.rows
     print()
     print(table.to_text())
+
+
+@dataclass
+class PairedTimes:
+    """Seconds per sample of two arms timed in interleaved pairs."""
+
+    baseline: List[float]
+    candidate: List[float]
+
+    @property
+    def ratios(self) -> List[float]:
+        """``baseline / candidate`` per pair: the candidate's speedup."""
+        return [slow / fast for slow, fast in zip(self.baseline,
+                                                  self.candidate)]
+
+    @property
+    def best(self) -> float:
+        """The best pair ratio, the statistic ratio gates are judged on."""
+        return max(self.ratios)
+
+    @property
+    def median(self) -> float:
+        return float(np.median(self.ratios))
+
+    def columns(self) -> dict:
+        """The best and median pair ratios and every pair, as table columns."""
+        return {"speedup": self.best, "median_speedup": self.median,
+                "pair_ratios": " ".join(f"{ratio:.2f}"
+                                        for ratio in self.ratios)}
+
+    def describe(self) -> str:
+        """Every pair ratio and their median, for failure messages."""
+        ratios = ", ".join(f"{ratio:.2f}" for ratio in self.ratios)
+        return f"pair ratios {ratios}; median {self.median:.2f}"
+
+
+def time_pairs(baseline: Callable[[], object], candidate: Callable[[], object],
+               pairs: int = 10, repetitions: int = 1) -> PairedTimes:
+    """Time two arms in interleaved pairs, the first arm alternating.
+
+    Each sample runs its arm ``repetitions`` times back to back.  Both
+    samples of a pair run under near-identical machine state, and the arm
+    that goes first alternates, so host drift between pairs cannot open or
+    close the gap the way it can between two blocks of samples.  A true
+    speedup bounds every pair ratio from below, so ratio gates read the
+    best pair.
+    """
+    arms = (baseline, candidate)
+    samples: tuple = ([], [])
+    for index in range(pairs):
+        for arm in ((0, 1) if index % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            for _ in range(repetitions):
+                arms[arm]()
+            samples[arm].append(time.perf_counter() - start)
+    return PairedTimes(baseline=samples[0], candidate=samples[1])
+
+
+def repeated(function: Callable[[], object],
+             repetitions: int) -> Callable[[], None]:
+    """``function`` run ``repetitions`` times as one benchmark round.
+
+    Recorded baselines sit under ``scripts/bench_record.py``'s 2 ms noise
+    floor when one call takes well under 10 ms, and a 20% regression can
+    then never fail them; rounds of enough repetitions lift each recorded
+    minimum above 10 ms.
+    """
+    def rounds() -> None:
+        for _ in range(repetitions):
+            function()
+    return rounds

@@ -25,7 +25,10 @@ over the shared batched engine (:mod:`repro.engine`): a cached
 :class:`~repro.engine.plan.PropagationPlan` holds the per-graph artifacts and
 :func:`repro.engine.batch.run_batch` performs the buffer-reuse iteration, so
 repeated queries against the same graph pay the setup cost once and many
-concurrent queries can be propagated in one batch.
+concurrent queries can be propagated in one batch.  Near the Lemma 8
+limit, where Eq. 6 needs hundreds of sweeps, ``run_batch`` solves
+Proposition 7's system by conjugate gradients instead (see
+:mod:`repro.engine.batch`); ``result.extra["solver"]`` says which ran.
 """
 
 from __future__ import annotations
@@ -66,8 +69,11 @@ class LinBP:
     max_iterations:
         Iteration budget for the iterative solver.
     tolerance:
-        Stop when the maximum absolute belief change per iteration drops
-        below this value.
+        The accuracy to stop at.  Jacobi sweeps stop when the maximum
+        absolute belief change per iteration drops below it; the
+        conjugate-gradient solve that :func:`repro.engine.batch.run_batch`
+        picks near the Lemma 8 limit stops when its certified bound on
+        the largest belief error, ``‖Ê − L(B̂)‖_F / (1 − ρ̄)``, does.
     require_convergence:
         When true, raise :class:`NotConvergentParametersError` if the exact
         spectral criterion of Lemma 8 says the iteration would diverge.
@@ -119,7 +125,7 @@ class LinBP:
             paper notes the fixed point is independent of the start whenever
             the iteration converges).
         num_iterations:
-            When given, run exactly this many iterations without early
+            When given, run exactly this many Jacobi sweeps without early
             stopping — used by the timing experiments that fix 5 iterations.
         """
         results = engine_batch.run_batch(
@@ -131,9 +137,10 @@ class LinBP:
             require_convergence=self.require_convergence,
         )
         result = results[0]
-        # Single-query runs keep the historical metadata shape.
-        result.extra = {"echo_cancellation": self.echo_cancellation,
-                        "epsilon": self.coupling.epsilon}
+        # Single-query runs drop the batch bookkeeping but keep the
+        # solver's provenance (solver, and for CG its error bound and ρ̄).
+        for key in ("engine", "dtype", "batch_size"):
+            del result.extra[key]
         return result
 
     # ------------------------------------------------------------------ #

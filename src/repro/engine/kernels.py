@@ -40,7 +40,7 @@ from repro.engine import backend as _backend
 from repro.exceptions import ValidationError
 
 __all__ = ["HAVE_INPLACE_SPMM", "spmm", "block_matmul", "scale_rows",
-           "max_abs_change_per_query"]
+           "max_abs_change_per_query", "dot_per_query"]
 
 try:  # pragma: no cover - import probing
     from scipy.sparse import _sparsetools as _tools
@@ -146,3 +146,18 @@ def max_abs_change_per_query(new: np.ndarray, old: np.ndarray,
         return np.array([scratch.max()])
     column_max = scratch.max(axis=0)
     return column_max.reshape(num_queries, num_classes).max(axis=1)
+
+
+def dot_per_query(left: np.ndarray, right: np.ndarray,
+                  num_classes: int) -> np.ndarray:
+    """Frobenius inner product ``⟨left_j, right_j⟩`` of every ``k``-wide block.
+
+    ``einsum`` accumulates each column down the rows in one fixed order,
+    whatever the width of the block, and the ``k`` column sums of a query
+    are then added in class order — so a query's product is bit for bit
+    the same alone and at any position of any batch.  (A BLAS ``ones @
+    (left * right)`` would block the rows by the batch width.)  Returns a
+    fresh length-``q`` vector, without touching the operands.
+    """
+    columns = np.einsum("ij,ij->j", left, right)
+    return columns.reshape(-1, num_classes).sum(axis=1)

@@ -82,6 +82,9 @@ class PropagationPlan:
     residual, residual_squared:
         C-contiguous ``k x k`` arrays ``Ĥ`` and ``Ĥ²`` in the plan's
         dtype.
+    is_symmetric:
+        True when ``Ĥ`` and ``Ĥ²`` (in float64) equal their transposes
+        bit for bit — a precondition of the CG solve.
     """
 
     def __init__(self, graph: Graph, coupling: CouplingMatrix,
@@ -109,6 +112,12 @@ class PropagationPlan:
         self.residual = self.backend.asarray(coupling.residual, self.dtype)
         self.residual_squared = self.backend.asarray(
             coupling.residual_squared, self.dtype)
+        # CouplingMatrix accepts residuals symmetric to 1e-9; the CG solve
+        # of repro.engine.batch needs its operator exactly symmetric.
+        residual64 = coupling.residual
+        squared64 = coupling.residual_squared
+        self.is_symmetric = bool(np.array_equal(residual64, residual64.T)
+                                 and np.array_equal(squared64, squared64.T))
         self._update_spectral_radius: Optional[float] = None
         self._operator_infinity_norm: Optional[float] = None
 
@@ -153,21 +162,31 @@ class PropagationPlan:
         eigensolve always runs in float64 on the host, whatever dtype or
         backend the plan's kernel artifacts use — a certification bound
         must not itself be computed in the precision it certifies.
+
+        Both update matrices are symmetric (``Ĥ``, ``A`` and ``D`` are),
+        so the symmetric Lanczos solver ``eigsh`` runs on a matrix-free
+        operator that applies ``B ↦ A·B·Ĥ − D·B·Ĥ²`` through the plan's
+        own arrays — no Kronecker product is assembled.  The start vector
+        is fixed, so every process computes the same radius to the last
+        bit (the CG stop of :mod:`repro.engine.batch` divides by
+        ``1 − ρ``, and its iteration counts must not differ between a
+        server and a process that checks its replies).
         """
         if self._update_spectral_radius is None:
-            from repro.graphs import linalg
             adjacency = self._host_adjacency64()
             if self.echo_cancellation:
+                residual = np.asarray(self.coupling.residual,
+                                      dtype=np.float64)
                 degrees = np.asarray(self.backend.to_numpy(self.degrees),
                                      dtype=np.float64)
-                degree = sp.diags(degrees, format="csr")
-                self._update_spectral_radius = linalg.kron_spectral_radius(
-                    np.asarray(self.coupling.residual, dtype=np.float64),
-                    adjacency, degree=degree)
+                squared = np.asarray(self.coupling.residual_squared,
+                                     dtype=np.float64)
+                self._update_spectral_radius = _update_radius(
+                    adjacency, residual, degrees, squared)
             else:
                 self._update_spectral_radius = (
                     self.coupling.spectral_radius()
-                    * linalg.spectral_radius(adjacency))
+                    * _update_radius(adjacency))
         return self._update_spectral_radius
 
     def operator_infinity_norm(self) -> float:
@@ -223,6 +242,59 @@ class PropagationPlan:
             raise ValidationError(
                 f"expected {self.num_classes} columns, got {explicit.shape[1]}")
         return explicit
+
+
+#: Below this order the update matrix is assembled densely for the radius:
+#: ARPACK needs a Krylov space smaller than the matrix.
+_DENSE_RADIUS_ORDER = 64
+
+
+def _update_radius(adjacency: sp.csr_matrix,
+                   residual: Optional[np.ndarray] = None,
+                   degrees: Optional[np.ndarray] = None,
+                   squared: Optional[np.ndarray] = None) -> float:
+    """``ρ(Ĥ⊗A − Ĥ²⊗D)``, or ``ρ(A)`` when ``residual`` is None.
+
+    The LinBP operator is matrix-free: it maps a row-major ``n x k``
+    block ``B`` to ``A·B·Ĥ − D·B·Ĥ²`` — the vectorised update matrix up to
+    a permutation, which leaves the spectrum alone.  ``eigsh`` starts
+    from a fixed pseudo-random vector (a constant one would lie in
+    ``Ĥ``'s null space: residual rows sum to zero).  Small orders, and
+    the rare ARPACK failure, go to :mod:`repro.graphs.linalg`.
+    """
+    from repro.graphs import linalg
+
+    n = adjacency.shape[0]
+    k = 1 if residual is None else residual.shape[0]
+    order = n * k
+    if order == 0 or adjacency.nnz == 0:
+        return 0.0
+
+    def assembled() -> float:
+        if residual is None:
+            return linalg.spectral_radius(adjacency)
+        return linalg.kron_spectral_radius(
+            residual, adjacency, degree=sp.diags(degrees, format="csr"))
+
+    if order < _DENSE_RADIUS_ORDER:
+        return assembled()
+    operator = adjacency
+    if residual is not None:
+        def matvec(vector: np.ndarray) -> np.ndarray:
+            block = vector.reshape(n, k)
+            product = adjacency @ (block @ residual)
+            product -= degrees[:, None] * (block @ squared)
+            return product.ravel()
+
+        operator = spla.LinearOperator((order, order), matvec=matvec,
+                                       dtype=np.float64)
+    start = np.random.default_rng(0).standard_normal(order)
+    try:
+        eigenvalues = spla.eigsh(operator, k=1, which="LM", v0=start,
+                                 return_eigenvectors=False, maxiter=5000)
+    except (spla.ArpackNoConvergence, spla.ArpackError):
+        return assembled()
+    return float(np.abs(eigenvalues[0]))
 
 
 # ---------------------------------------------------------------------- #

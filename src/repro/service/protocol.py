@@ -153,12 +153,16 @@ def _label_payload(result, coupling: CouplingMatrix, limit: int,
     """Top label per labeled node, for the emitted nodes only.
 
     v0: ``node:class`` text joined by ``,``; v1: ``[node, class_name]``
-    rows.  Returns the payload and the truncation flag.
+    rows.  Returns the payload and the truncation flag.  The argmax runs
+    over the emitted rows only, with ``BeliefMatrix.hard_labels``' rules:
+    all-zero rows get no label, ties go to the lowest class id.
     """
-    labels = result.hard_labels()
-    nodes, truncated = _emitted(np.flatnonzero(labels >= 0), limit)
+    beliefs = result.beliefs
+    nodes, truncated = _emitted(
+        np.flatnonzero(np.any(beliefs != 0.0, axis=1)), limit)
+    labels = np.argmax(beliefs[nodes], axis=1)
     names = [coupling.name_of(klass) for klass in range(coupling.num_classes)]
-    pairs = zip(nodes.tolist(), labels[nodes].tolist())
+    pairs = zip(nodes.tolist(), labels.tolist())
     if version == 0:
         return _joined(",", [f"{node}:{names[label]}"
                              for node, label in pairs], truncated), truncated

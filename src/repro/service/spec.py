@@ -52,8 +52,13 @@ class QuerySpec:
         ``"linbp"`` (echo-cancelled LinBP, the default), ``"linbp*"``
         (no echo cancellation) or ``"sbp"`` (single-pass).
     max_iterations, tolerance, num_iterations:
-        Iterative solver budget; ``num_iterations`` pins an exact sweep
-        count (disabling the convergence check).  Ignored by the
+        Iterative solver budget; ``num_iterations`` pins an exact count
+        of Eq. 6 Jacobi sweeps (disabling the convergence check).
+        Otherwise the engine picks Jacobi sweeps (stop: max belief change
+        below ``tolerance``) or, near the Lemma 8 limit, conjugate
+        gradients (stop: certified error bound below ``tolerance``;
+        ``max_iterations`` then caps CG steps) — see
+        :func:`repro.engine.batch.run_batch`.  Ignored by the
         single-pass SBP family except where ``precision="auto"`` reads
         the tolerance for its certificate.
     dtype:

@@ -61,6 +61,31 @@ class TestPlanArtifacts:
         expected = coupling.spectral_radius() * graph.spectral_radius()
         assert plan.update_spectral_radius() == pytest.approx(expected)
 
+    @pytest.mark.parametrize("echo", [True, False])
+    def test_matrix_free_radius_matches_the_kronecker_assembly(self, echo):
+        # The plan's eigsh on a matrix-free operator against ARPACK's eigs
+        # on the assembled Kronecker matrix, on the paper's suite #1-#4.
+        from repro.datasets import kronecker_suite
+
+        for workload in kronecker_suite(max_index=4, seed=0):
+            coupling = workload.coupling.scaled(0.05)
+            plan = PropagationPlan(workload.graph, coupling,
+                                   echo_cancellation=echo)
+            degree = workload.graph.degree_matrix() if echo else None
+            direct = linalg.kron_spectral_radius(
+                coupling.residual, workload.graph.adjacency, degree=degree)
+            assert plan.update_spectral_radius() == \
+                pytest.approx(direct, rel=1e-9)
+
+    def test_radius_is_the_same_in_every_plan(self):
+        # A fixed start vector: fresh plans (as in separate processes)
+        # agree to the last bit, so CG stops agree too.
+        graph = random_graph(200, 0.05, seed=3)
+        coupling = homophily_matrix(epsilon=0.1)
+        radii = {PropagationPlan(graph, coupling).update_spectral_radius()
+                 for _ in range(3)}
+        assert len(radii) == 1
+
 
 class TestPlanCache:
     def test_same_configuration_returns_same_plan(self):

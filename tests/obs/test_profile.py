@@ -49,6 +49,50 @@ class TestBatchProfile:
         assert residuals[-1] <= result.extra["profile"]["tolerance"]
 
 
+class TestConjugateGradientTelemetry:
+    """The CG path reports its steps as sweeps and its bound as residuals."""
+
+    def _plan(self):
+        from repro.core.convergence import max_epsilon_exact
+        from repro.datasets import kronecker_suite
+
+        workload = kronecker_suite(max_index=1, seed=0)[0]
+        limit = max_epsilon_exact(workload.graph, workload.coupling)
+        plan = get_plan(workload.graph, workload.coupling.scaled(0.9 * limit))
+        return plan, workload.explicit
+
+    def test_each_cg_step_is_one_sweep_span_and_one_count(self):
+        from repro.engine.batch import SWEEPS
+        from repro.obs import recent_spans
+        from repro.obs.trace import default_ring
+
+        plan, explicit = self._plan()
+        default_ring().clear()
+        before = SWEEPS.value(engine="batch")
+        results = run_batch(plan, [explicit, explicit * 1e4])
+        counted = SWEEPS.value(engine="batch") - before
+        sweeps = recent_spans("engine.sweep")
+        iterations = [result.iterations for result in results]
+        assert {result.extra["solver"] for result in results} == {"cg"}
+        assert all(event.tags["solver"] == "cg" for event in sweeps)
+        assert len(sweeps) == counted == max(iterations)
+        # The two queries stop at different steps, each after one
+        # recomputation of its true residual.
+        assert iterations[0] != iterations[1]
+        assert len(recent_spans("engine.certify")) == 2
+
+    def test_profile_carries_the_bound_trajectory(self):
+        plan, explicit = self._plan()
+        (result,) = run_batch(plan, [explicit], profile=True)
+        profile = result.extra["profile"]
+        assert result.extra["solver"] == "cg"
+        assert profile["residuals"] == result.residual_history
+        assert profile["iterations"] == result.iterations
+        assert profile["converged"] is True
+        assert profile["residuals"][-1] == result.extra["error_bound"]
+        assert profile["residuals"][-1] < profile["tolerance"]
+
+
 class TestSbpProfile:
     def test_records_traversal_shape(self, sbp_example, fraud_coupling,
                                      torus_explicit):

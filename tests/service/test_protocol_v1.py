@@ -359,3 +359,51 @@ class TestV0V1Parity:
         session = _session()
         v0, v1 = self._both(session, dict(op="nope"))
         assert v0 == "error " + v1["error"]["message"]
+
+
+def _hard_label_pairs(beliefs):
+    """(node, label) pairs from BeliefMatrix.hard_labels over every row."""
+    from repro.beliefs import BeliefMatrix
+
+    labels = BeliefMatrix(beliefs).hard_labels()
+    return [(node, int(labels[node])) for node in np.flatnonzero(labels >= 0)]
+
+
+class TestLabelPayload:
+    """Labels are computed for the emitted rows only, by hard_labels' rules."""
+
+    def _payload(self, beliefs, limit, version=1):
+        from repro.core.results import PropagationResult
+        from repro.coupling import homophily_matrix
+        from repro.service.protocol import _label_payload
+
+        result = PropagationResult(beliefs=beliefs, method="LinBP",
+                                   iterations=1, converged=True)
+        coupling = homophily_matrix(epsilon=0.1).scaled(0.1)
+        return _label_payload(result, coupling, limit, version), coupling
+
+    def test_matches_hard_labels_on_the_emitted_rows(self):
+        beliefs = np.array([[0.0, 0.0],      # all zero: no label
+                            [0.2, -0.2],
+                            [0.1, 0.1],      # tie: lowest class id
+                            [-0.3, 0.3],
+                            [0.0, 0.0],
+                            [0.0, -0.0],     # negative zero is zero
+                            [0.5, -0.5]])
+        expected = _hard_label_pairs(beliefs)
+        for limit in (0, 1, 2, 3, 4, 10):
+            (rows, truncated), coupling = self._payload(beliefs, limit)
+            emitted = expected[:limit] if limit else expected
+            assert rows == [[node, coupling.name_of(label)]
+                            for node, label in emitted]
+            assert truncated == (limit != 0 and limit < len(expected))
+        (text, truncated), coupling = self._payload(beliefs, 2, version=0)
+        assert text == ",".join(f"{node}:{coupling.name_of(label)}"
+                                for node, label in expected[:2]) + ",..."
+
+    def test_no_labeled_rows(self):
+        (rows, truncated), _ = self._payload(np.zeros((3, 2)), 5)
+        assert rows == [] and truncated is False
+        (text, _), _ = self._payload(np.zeros((3, 2)), 5, version=0)
+        assert text == "-"
+
