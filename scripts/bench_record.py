@@ -96,11 +96,6 @@ register_suite(
     "BENCH_sql.json",
     "SQL execution backends (timings depend on the linked SQLite)")
 register_suite(
-    "precision",
-    ["benchmarks/test_bench_precision.py"],
-    "BENCH_precision.json",
-    "mixed-precision kernels (float32 vs float64 SpMM throughput)")
-register_suite(
     "stream",
     ["benchmarks/test_bench_stream.py"],
     "BENCH_stream.json",

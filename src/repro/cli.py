@@ -30,11 +30,6 @@ The CLI mirrors how the paper's artifacts would be used from a shell:
     Report which SQL execution backends (``label --backend``) are usable:
     the stdlib SQLite engine and the optional DuckDB engine.
 
-``python -m repro backends``
-    Report which array backends (``label --dtype/--precision``) are
-    usable: the numpy host backend, the optional cupy device backend,
-    and the in-place/compiled SpMM kernels, with their supported dtypes.
-
 Every command works on plain text files and prints plain text, so results can
 be piped into other tools.
 """
@@ -132,50 +127,13 @@ def _label_backend(args: argparse.Namespace, graph, coupling, explicit):
                            max_iterations=args.max_iterations)
 
 
-def _label_engine(args: argparse.Namespace, graph, coupling, explicit):
-    """Run one labeling query on the batched engine in a requested dtype."""
-    from repro import engine
-
-    if args.method == "bp":
-        raise ReproError(
-            "--dtype/--precision drive the linearized engine; method 'bp' "
-            "has no linearized form (use linbp, linbp* or sbp)")
-    if args.method == "sbp":
-        if args.precision == "auto":
-            results, decision = engine.run_sbp_batch_auto(
-                graph, coupling, [explicit], tolerance=args.tolerance)
-            print(f"precision: {decision.reason}", file=sys.stderr)
-            return results[0]
-        return engine.run_sbp_batch(graph, coupling, [explicit],
-                                    dtype=args.dtype)[0]
-    echo = args.method == "linbp"
-    if args.precision == "auto":
-        results, decision = engine.run_batch_auto(
-            graph, coupling, [explicit], echo_cancellation=echo,
-            max_iterations=args.max_iterations, tolerance=args.tolerance)
-        print(f"precision: {decision.reason}", file=sys.stderr)
-        return results[0]
-    plan = engine.get_plan(graph, coupling, echo_cancellation=echo,
-                           dtype=args.dtype)
-    return engine.run_batch(plan, [explicit],
-                            max_iterations=args.max_iterations,
-                            tolerance=args.tolerance)[0]
-
-
 def _command_label(args: argparse.Namespace) -> int:
     graph = graph_io.read_edge_list(args.graph, num_nodes=args.num_nodes)
     coupling = _load_coupling(args.coupling, args.epsilon)
     explicit = graph_io.read_belief_table(args.beliefs, num_nodes=graph.num_nodes,
                                           num_classes=coupling.num_classes)
-    mixed = args.dtype != "float64" or args.precision != "strict"
     if args.backend is not None:
-        if mixed:
-            raise ReproError(
-                "--backend runs on a SQL engine with its own numeric types; "
-                "--dtype/--precision apply to the in-memory engine only")
         result = _label_backend(args, graph, coupling, explicit)
-    elif mixed:
-        result = _label_engine(args, graph, coupling, explicit)
     else:
         method = METHODS[args.method]
         if args.method in ("linbp", "linbp*"):
@@ -258,18 +216,6 @@ def _command_sql_info(args: argparse.Namespace) -> int:
     for entry in backend_info():
         status = "available" if entry["available"] else "unavailable"
         print(f"{entry['name']:<10} {status:<13} {entry['engine']}")
-    return 0
-
-
-def _command_backends(args: argparse.Namespace) -> int:
-    from repro.engine import array_backend_info
-
-    print(f"{'backend':<14} {'status':<13} {'dtypes':<18} engine")
-    for entry in array_backend_info():
-        status = "available" if entry["available"] else "unavailable"
-        dtypes = ",".join(entry["dtypes"])
-        print(f"{entry['name']:<14} {status:<13} {dtypes:<18} "
-              f"{entry['engine']}")
     return 0
 
 
@@ -549,16 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     label.add_argument("--tolerance", type=float, default=1e-10,
                        help="convergence threshold on the max belief change "
                             "(default: 1e-10; method bp keeps its own 1e-8)")
-    label.add_argument("--dtype", choices=["float32", "float64"],
-                       default="float64",
-                       help="arithmetic precision of the in-memory engine "
-                            "(default: float64)")
-    label.add_argument("--precision", choices=["strict", "auto"],
-                       default="strict",
-                       help="'strict' runs exactly --dtype; 'auto' runs the "
-                            "Lemma-8-certified float32 fast path when its "
-                            "rounding budget fits --tolerance and falls "
-                            "back to float64 otherwise")
     label.add_argument("--output", type=Path, default=None,
                        help="write the final belief table to this path")
     label.add_argument("--limit", type=int, default=20,
@@ -593,11 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql_info = subparsers.add_parser(
         "sql-info", help="report which SQL execution backends are usable")
     sql_info.set_defaults(handler=_command_sql_info)
-
-    backends = subparsers.add_parser(
-        "backends", help="report which array backends and mixed-precision "
-                         "kernels are usable")
-    backends.set_defaults(handler=_command_backends)
 
     serve = subparsers.add_parser(
         "serve", help="run the propagation service (JSON line protocol)")

@@ -139,7 +139,7 @@ class LinBP:
         result = results[0]
         # Single-query runs drop the batch bookkeeping but keep the
         # solver's provenance (solver, and for CG its error bound and ρ̄).
-        for key in ("engine", "dtype", "batch_size"):
+        for key in ("engine", "batch_size"):
             del result.extra[key]
         return result
 

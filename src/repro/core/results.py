@@ -50,8 +50,8 @@ class PropagationResult:
     extra: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        # Preserve the engine's element type (float32 results stay
-        # float32); only non-float input (lists, ints) is promoted.
+        # Floating input is kept as given (no copy); only non-float
+        # input (lists, ints) is promoted.
         self.beliefs = np.asarray(self.beliefs)
         if not np.issubdtype(self.beliefs.dtype, np.floating):
             self.beliefs = np.asarray(self.beliefs, dtype=float)

@@ -2,15 +2,15 @@
 
 This layer sits between the solver front ends (:mod:`repro.core.linbp`,
 :mod:`repro.core.fabp`, :mod:`repro.core.sbp`, the experiment drivers)
-and the raw linear algebra.  It contributes four things the
+and the raw linear algebra.  It contributes three things the
 one-query-at-a-time API could not:
 
 * :mod:`repro.engine.plan` — :class:`PropagationPlan`, a cached bundle of
-  per-``(graph, coupling, echo_cancellation, dtype, backend)`` artifacts
-  (canonical CSR adjacency, squared-degree vector, scaled residual
-  coupling and its square, lazily the Lemma 8 spectral radius and the
-  update operator's ∞-norm), plus a cached sparse LU factorisation for
-  the binary FaBP closed form;
+  per-``(graph, coupling, echo_cancellation)`` artifacts (canonical CSR
+  adjacency, squared-degree vector, scaled residual coupling and its
+  square, lazily the Lemma 8 spectral radius and the update operator's
+  ∞-norm), plus a cached sparse LU factorisation for the binary FaBP
+  closed form;
 * :mod:`repro.engine.batch` — :func:`run_batch`, which propagates many
   explicit-belief matrices concurrently as one ``n x (q·k)`` block over
   preallocated ping-pong buffers (:class:`BatchWorkspace`), using the
@@ -20,26 +20,16 @@ one-query-at-a-time API could not:
   Lemma-17 DAG, contiguous per-level CSR slices) per
   ``(graph, labeled set)``, :func:`run_sbp_batch` for stacked SBP
   queries, and the vectorised ΔSBP frontier repairs behind
-  Algorithms 3–4;
-* :mod:`repro.engine.backend` + :mod:`repro.engine.precision` — the
-  array-backend/dtype layer (numpy default, capability-gated cupy, a
-  numba-compiled CSR sweep fallback) and the Lemma-8-certified float32
-  fast path: :func:`run_batch_auto` runs certified float32 when the
-  rounding budget fits the tolerance and falls back (or presolves and
-  refines) in exact float64 otherwise.
+  Algorithms 3–4.
+
+Every array the engine computes on is float64 numpy, the precision in
+which the paper states Lemma 8 and Proposition 7.  Callers — the
+service, the CLI and the tuner — build a plan with :func:`get_plan`
+and answer with :func:`run_batch`, or call :func:`run_sbp_batch`.
 
 See ``docs/performance.md`` for the API guide and caching semantics.
 """
 
-from repro.engine.backend import (
-    ARRAY_BACKENDS,
-    DEFAULT_DTYPE,
-    HAVE_NUMBA,
-    SUPPORTED_DTYPES,
-    array_backend_info,
-    canonical_dtype,
-    get_array_backend,
-)
 from repro.engine.batch import BatchWorkspace, run_batch
 from repro.engine.kernels import HAVE_INPLACE_SPMM
 from repro.engine.plan import (
@@ -48,14 +38,6 @@ from repro.engine.plan import (
     get_binary_solver,
     get_plan,
     plan_cache_info,
-)
-from repro.engine.precision import (
-    PRECISION_MODES,
-    PrecisionDecision,
-    decide_linbp,
-    decide_sbp,
-    run_batch_auto,
-    run_sbp_batch_auto,
 )
 from repro.engine.sbp_plan import (
     SBPPlan,
@@ -67,13 +49,6 @@ from repro.engine.sbp_plan import (
 )
 
 __all__ = [
-    "ARRAY_BACKENDS",
-    "DEFAULT_DTYPE",
-    "HAVE_NUMBA",
-    "SUPPORTED_DTYPES",
-    "array_backend_info",
-    "canonical_dtype",
-    "get_array_backend",
     "BatchWorkspace",
     "run_batch",
     "HAVE_INPLACE_SPMM",
@@ -82,12 +57,6 @@ __all__ = [
     "get_binary_solver",
     "get_plan",
     "plan_cache_info",
-    "PRECISION_MODES",
-    "PrecisionDecision",
-    "decide_linbp",
-    "decide_sbp",
-    "run_batch_auto",
-    "run_sbp_batch_auto",
     "SBPPlan",
     "get_sbp_plan",
     "repair_added_edges",

@@ -31,8 +31,8 @@ Two solvers reach the same fixed point ``B̂ = Ê + A·B̂·Ĥ − D·B̂·Ĥ²`
 
 :func:`run_batch` picks one solver per batch from the plan
 (:func:`solver_radius`): CG only where a certified ``ρ̄`` is at least
-:data:`CG_MIN_RADIUS` and below one, and only for float64 plans, an
-exactly symmetric ``Ĥ`` and no pinned ``num_iterations``.
+:data:`CG_MIN_RADIUS` and below one, and only for an exactly symmetric
+``Ĥ`` and no pinned ``num_iterations``.
 
 :class:`BatchWorkspace` owns the preallocated buffers and performs one
 Jacobi step, or one application of ``L``, with zero per-iteration
@@ -79,17 +79,15 @@ CG_MIN_RADIUS = 0.4
 def solver_radius(plan: PropagationPlan) -> Optional[float]:
     """The certified ``ρ̄`` a CG solve on ``plan`` stops with, or None.
 
-    None means Eq. 6 Jacobi sweeps answer: a float32 plan (its rounding
-    budget is priced for sweeps, :mod:`repro.engine.precision`), an ``Ĥ``
-    that is not exactly symmetric, a radius below
-    :data:`CG_MIN_RADIUS` (Jacobi is cheaper) or at least one (``L`` is
-    not positive definite).  The cheap bound goes first:
-    ``plan.operator_infinity_norm()`` bounds ``ρ`` from above, so when it
-    is below the crossover the plan never pays the eigensolve; only when
-    it cannot decide does the plan's cached Lemma 8 radius.
+    None means Eq. 6 Jacobi sweeps answer: an ``Ĥ`` that is not exactly
+    symmetric, a radius below :data:`CG_MIN_RADIUS` (Jacobi is cheaper)
+    or at least one (``L`` is not positive definite).  The cheap bound
+    goes first: ``plan.operator_infinity_norm()`` bounds ``ρ`` from
+    above, so when it is below the crossover the plan never pays the
+    eigensolve; only when it cannot decide does the plan's cached
+    Lemma 8 radius.
     """
-    if plan.dtype != np.float64 or plan.backend.name != "numpy" \
-            or not plan.is_symmetric:
+    if not plan.is_symmetric:
         return None
     if plan.operator_infinity_norm() < CG_MIN_RADIUS:
         return None
@@ -118,15 +116,13 @@ class BatchWorkspace:
         self.num_queries = int(num_queries)
         n, k = plan.num_nodes, plan.num_classes
         shape = (n, self.num_queries * k)
-        # All buffers live in the plan's dtype on the plan's array
-        # backend — the whole iteration then runs at that element width.
         # ``front`` must start zeroed (the default B̂⁰); the other buffers
         # are fully overwritten before their first read, so plain ``empty``
         # keeps workspace construction cheap.
-        self._explicit = plan.backend.empty(shape, plan.dtype)
-        self._front = plan.backend.zeros(shape, plan.dtype)
-        self._back = plan.backend.empty(shape, plan.dtype)
-        self._scratch = plan.backend.empty(shape, plan.dtype)
+        self._explicit = np.empty(shape)
+        self._front = np.zeros(shape)
+        self._back = np.empty(shape)
+        self._scratch = np.empty(shape)
         self._direction: Optional[np.ndarray] = None
         self._image: Optional[np.ndarray] = None
         self._negated_residual = -plan.residual
@@ -152,21 +148,16 @@ class BatchWorkspace:
             for query, start in enumerate(initial_beliefs):
                 if start is None:
                     continue
-                start = np.asarray(start, dtype=self.plan.dtype)
+                start = np.asarray(start, dtype=np.float64)
                 if start.shape != checked[query].shape:
                     raise ValidationError(
                         "initial beliefs must have the same shape as Ê")
                 self._front[:, query * k:(query + 1) * k] = start
 
     def beliefs(self, query: int) -> np.ndarray:
-        """Copy of the current ``n x k`` belief block of one query.
-
-        Always a host (numpy) array in the plan's dtype, whatever array
-        backend the buffers live on.
-        """
+        """Copy of the current ``n x k`` belief block of one query."""
         k = self.plan.num_classes
-        block = self._front[:, query * k:(query + 1) * k]
-        return np.array(self.plan.backend.to_numpy(block))
+        return np.array(self._front[:, query * k:(query + 1) * k])
 
     # ------------------------------------------------------------------ #
     # one batched update step
@@ -466,7 +457,6 @@ def run_batch(plan: PropagationPlan, explicit_list: Sequence[np.ndarray],
         extra = {"echo_cancellation": plan.echo_cancellation,
                  "epsilon": plan.coupling.epsilon,
                  "engine": "batch",
-                 "dtype": plan.dtype.name,
                  "batch_size": q,
                  "solver": "jacobi" if radius is None else "cg"}
         if radius is not None:

@@ -8,27 +8,18 @@ FPU, becomes the bottleneck.  The kernels here write every product into a
 caller-provided output buffer so a whole propagation runs on a fixed set
 of preallocated arrays (see :class:`repro.engine.batch.BatchWorkspace`).
 
-The sparse product has three tiers, tried in order:
+The sparse product has two tiers, tried in order:
 
 1. ``scipy.sparse._sparsetools.csr_matvecs`` (the C++ routine behind
    ``csr_matrix.__matmul__``), which accumulates ``Y += A @ X`` into an
    existing row-major buffer.  Because the symbol is private, its
    availability is probed once at import time (:data:`HAVE_INPLACE_SPMM`).
-2. The numba-compiled in-place sweep from :mod:`repro.engine.backend`
-   (probed the same way, :data:`repro.engine.backend.HAVE_NUMBA`) — the
-   fallback that keeps the zero-allocation path alive if a scipy release
-   moves the private symbol.
-3. The allocating ``A @ X`` as the last resort, and the generic path for
-   non-numpy (e.g. CuPy) operands, whose libraries dispatch the
-   operators natively.
+2. The allocating ``A @ X``, should a scipy release move that symbol.
 
-Every kernel is dtype-preserving: operands must agree (float32 with
-float32, float64 with float64 — enforced with a clear error, because the
-allocating ``csr @ dense`` path would otherwise *silently upcast* on a
-mismatch and scribble float64 results into a float32 buffer), and all
-arithmetic runs in the operands' own dtype.  This is what makes the
-float32 fast path of :mod:`repro.engine.precision` a pure bandwidth win:
-the same kernels, half the bytes per element.
+Every kernel runs in its operands' own dtype, and :func:`spmm` requires
+them to agree — enforced with a clear error, because the allocating
+``csr @ dense`` path would otherwise *silently upcast* on a mismatch and
+scribble the wider result into a narrower buffer.
 """
 
 from __future__ import annotations
@@ -36,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.engine import backend as _backend
 from repro.exceptions import ValidationError
 
 __all__ = ["HAVE_INPLACE_SPMM", "spmm", "block_matmul", "scale_rows",
@@ -55,18 +45,15 @@ HAVE_INPLACE_SPMM = _csr_matvecs is not None
 def _check_spmm_dtypes(csr, dense, out) -> None:
     """Reject dtype disagreement before any product runs.
 
-    The compiled in-place routines are dtype-templated (mixing operand
+    The compiled in-place routine is dtype-templated (mixing operand
     widths would corrupt the output buffer), and the allocating
-    ``csr @ dense`` fallback would silently upcast — computing in
-    float64 and casting back, which defeats the bandwidth saving the
-    caller asked for and masks plan/workspace dtype bugs.  One explicit
-    guard keeps every tier honest.
+    ``csr @ dense`` fallback would silently upcast and cast back.  One
+    explicit guard keeps both tiers honest.
     """
     if not (csr.dtype == dense.dtype == out.dtype):
         raise ValidationError(
             f"spmm dtype mismatch: adjacency is {csr.dtype}, dense block "
-            f"is {dense.dtype}, out buffer is {out.dtype}; build the plan "
-            f"and workspace with one dtype (see repro.engine.backend)")
+            f"is {dense.dtype}, out buffer is {out.dtype}")
 
 
 def spmm(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
@@ -82,17 +69,14 @@ def spmm(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
     Returns ``out`` for chaining.
     """
     _check_spmm_dtypes(csr, dense, out)
-    if isinstance(out, np.ndarray) and out.flags.c_contiguous \
+    if HAVE_INPLACE_SPMM and out.flags.c_contiguous \
             and dense.flags.c_contiguous:
-        if HAVE_INPLACE_SPMM:
-            if not accumulate:
-                out[...] = 0
-            _csr_matvecs(csr.shape[0], csr.shape[1], dense.shape[1],
-                         csr.indptr, csr.indices, csr.data,
-                         dense.reshape(-1), out.reshape(-1))
-            return out
-        if _backend.HAVE_NUMBA:
-            return _backend.numba_spmm(csr, dense, out, accumulate=accumulate)
+        if not accumulate:
+            out[...] = 0
+        _csr_matvecs(csr.shape[0], csr.shape[1], dense.shape[1],
+                     csr.indptr, csr.indices, csr.data,
+                     dense.reshape(-1), out.reshape(-1))
+        return out
     if accumulate:
         out += csr @ dense
     else:

@@ -36,7 +36,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.coupling.matrices import CouplingMatrix
-from repro.engine import backend as array_backend
 from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
 from repro.obs import counter, span
@@ -65,59 +64,50 @@ class PropagationPlan:
 
     Attributes
     ----------
-    graph, coupling, echo_cancellation, dtype, backend:
+    graph, coupling, echo_cancellation:
         The defining tuple; two plans coincide iff these match (coupling
-        compared by value, graph by identity, dtype/backend by canonical
-        name).  ``graph`` is held only weakly — the plan copies or shares
-        every artifact it needs, so a cached plan never pins a dead graph
-        in memory.
+        compared by value, graph by identity).  ``graph`` is held only
+        weakly — the plan copies or shares every artifact it needs, so a
+        cached plan never pins a dead graph in memory.
     adjacency:
-        The graph's adjacency as canonical CSR (sorted indices, no
-        duplicates) in the plan's dtype on the plan's array backend —
-        the layout the SpMM kernel requires.  ``float64`` on ``numpy``
-        (the defaults) is byte-identical to the historical layout.
+        The graph's adjacency as canonical float64 CSR (sorted indices,
+        no duplicates) — the layout the SpMM kernel requires.
     degrees:
         Squared-weight degree vector ``d`` (Section 5.2), or ``None`` for
         LinBP* where the echo term vanishes.
     residual, residual_squared:
-        C-contiguous ``k x k`` arrays ``Ĥ`` and ``Ĥ²`` in the plan's
-        dtype.
+        C-contiguous ``k x k`` float64 arrays ``Ĥ`` and ``Ĥ²``.
     is_symmetric:
-        True when ``Ĥ`` and ``Ĥ²`` (in float64) equal their transposes
-        bit for bit — a precondition of the CG solve.
+        True when ``Ĥ`` and ``Ĥ²`` equal their transposes bit for bit —
+        a precondition of the CG solve.
     """
 
     def __init__(self, graph: Graph, coupling: CouplingMatrix,
-                 echo_cancellation: bool = True,
-                 dtype=array_backend.DEFAULT_DTYPE,
-                 backend: str = "numpy"):
+                 echo_cancellation: bool = True):
         # Only a weak reference to the graph wrapper is kept: the plan owns
         # (copies or shares) every artifact it needs, so a cached plan does
         # not pin large graphs in memory beyond their natural lifetime.
         self._graph_ref = weakref.ref(graph)
         self.coupling = coupling
         self.echo_cancellation = bool(echo_cancellation)
-        self.dtype: np.dtype = array_backend.canonical_dtype(dtype)
-        self.backend: array_backend.ArrayBackend = \
-            array_backend.get_array_backend(backend)
         adjacency = graph.adjacency
         if not adjacency.has_canonical_format:
             adjacency = adjacency.copy()
             adjacency.sum_duplicates()
-        if adjacency.dtype != self.dtype:
-            adjacency = adjacency.astype(self.dtype)
-        self.adjacency = self.backend.csr(adjacency, self.dtype)
-        self.degrees = self.backend.asarray(
-            graph.degree_vector(), self.dtype) if echo_cancellation else None
-        self.residual = self.backend.asarray(coupling.residual, self.dtype)
-        self.residual_squared = self.backend.asarray(
-            coupling.residual_squared, self.dtype)
+        self.adjacency = adjacency
+        self.degrees = np.ascontiguousarray(graph.degree_vector(),
+                                            dtype=np.float64) \
+            if echo_cancellation else None
+        self.residual = np.ascontiguousarray(coupling.residual,
+                                             dtype=np.float64)
+        self.residual_squared = np.ascontiguousarray(
+            coupling.residual_squared, dtype=np.float64)
         # CouplingMatrix accepts residuals symmetric to 1e-9; the CG solve
         # of repro.engine.batch needs its operator exactly symmetric.
-        residual64 = coupling.residual
-        squared64 = coupling.residual_squared
-        self.is_symmetric = bool(np.array_equal(residual64, residual64.T)
-                                 and np.array_equal(squared64, squared64.T))
+        self.is_symmetric = bool(
+            np.array_equal(self.residual, self.residual.T)
+            and np.array_equal(self.residual_squared,
+                               self.residual_squared.T))
         self._update_spectral_radius: Optional[float] = None
         self._operator_infinity_norm: Optional[float] = None
 
@@ -144,24 +134,12 @@ class PropagationPlan:
     # ------------------------------------------------------------------ #
     # convergence bookkeeping (computed lazily, cached on the plan)
     # ------------------------------------------------------------------ #
-    def _host_adjacency64(self) -> sp.csr_matrix:
-        """The adjacency as host (scipy) CSR float64, for analysis paths."""
-        adjacency = self.adjacency
-        if not isinstance(adjacency, sp.csr_matrix):  # pragma: no cover - GPU
-            adjacency = adjacency.get()
-        if adjacency.dtype != np.float64:
-            adjacency = adjacency.astype(np.float64)
-        return adjacency
-
     def update_spectral_radius(self) -> float:
         """Spectral radius of the update matrix — the exact Lemma 8 quantity.
 
         ``ρ(Ĥ⊗A − Ĥ²⊗D)`` for LinBP, ``ρ(Ĥ)·ρ(A) = ρ(Ĥ⊗A)`` for LinBP*.
         Computed on first use and cached for the lifetime of the plan, so
-        per-query convergence checks against a hot plan are free.  The
-        eigensolve always runs in float64 on the host, whatever dtype or
-        backend the plan's kernel artifacts use — a certification bound
-        must not itself be computed in the precision it certifies.
+        per-query convergence checks against a hot plan are free.
 
         Both update matrices are symmetric (``Ĥ``, ``A`` and ``D`` are),
         so the symmetric Lanczos solver ``eigsh`` runs on a matrix-free
@@ -173,20 +151,14 @@ class PropagationPlan:
         server and a process that checks its replies).
         """
         if self._update_spectral_radius is None:
-            adjacency = self._host_adjacency64()
             if self.echo_cancellation:
-                residual = np.asarray(self.coupling.residual,
-                                      dtype=np.float64)
-                degrees = np.asarray(self.backend.to_numpy(self.degrees),
-                                     dtype=np.float64)
-                squared = np.asarray(self.coupling.residual_squared,
-                                     dtype=np.float64)
                 self._update_spectral_radius = _update_radius(
-                    adjacency, residual, degrees, squared)
+                    self.adjacency, self.residual, self.degrees,
+                    self.residual_squared)
             else:
                 self._update_spectral_radius = (
                     self.coupling.spectral_radius()
-                    * _update_radius(adjacency))
+                    * _update_radius(self.adjacency))
         return self._update_spectral_radius
 
     def operator_infinity_norm(self) -> float:
@@ -195,27 +167,31 @@ class PropagationPlan:
         The ∞-norm of the LinBP update operator: how much one sweep can
         amplify the *magnitude* of the belief block (``‖A‖∞·‖Ĥ‖∞ +
         ‖d‖∞·‖Ĥ²‖∞``; the echo term enters additively because the norm
-        is submultiplicative, not signed).  Together with the Lemma 8
-        spectral radius this prices the float32 rounding budget of
-        :mod:`repro.engine.precision`: the radius bounds how errors
-        *accumulate* across sweeps, this norm bounds how large the
-        intermediate quantities each sweep rounds can get.  Lazy and
-        cached like the radius; always computed in float64.
+        is submultiplicative, not signed).  It bounds the Lemma 8 radius
+        from above in one pass over ``A``, which lets
+        :func:`repro.engine.batch.solver_radius` skip the eigensolve.
+        Lazy and cached like the radius.
+
+        ``‖A‖∞`` is the largest row sum ``A·1``: every validated
+        :class:`Graph` has non-negative weights.  Only a graph built with
+        ``validate=False`` can carry a negative weight, and only then are
+        the absolute values summed instead.
         """
         if self._operator_infinity_norm is None:
-            adjacency = self._host_adjacency64()
-            adjacency_norm = float(abs(adjacency).sum(axis=1).max()) \
-                if adjacency.nnz else 0.0
-            residual64 = np.asarray(self.coupling.residual, dtype=np.float64)
-            norm = adjacency_norm * float(np.abs(residual64).sum(axis=1).max())
+            adjacency = self.adjacency
+            adjacency_norm = 0.0
+            if adjacency.nnz:
+                if adjacency.data.min() < 0.0:
+                    adjacency = abs(adjacency)
+                adjacency_norm = float(
+                    (adjacency @ np.ones(adjacency.shape[1])).max())
+            norm = adjacency_norm * float(
+                np.abs(self.residual).sum(axis=1).max())
             if self.echo_cancellation:
-                degrees = np.asarray(self.backend.to_numpy(self.degrees),
-                                     dtype=np.float64)
-                squared64 = np.asarray(self.coupling.residual_squared,
-                                       dtype=np.float64)
-                degree_norm = float(degrees.max()) if degrees.size else 0.0
+                degree_norm = float(self.degrees.max()) \
+                    if self.degrees.size else 0.0
                 norm += degree_norm * \
-                    float(np.abs(squared64).sum(axis=1).max())
+                    float(np.abs(self.residual_squared).sum(axis=1).max())
             self._operator_infinity_norm = norm
         return self._operator_infinity_norm
 
@@ -229,10 +205,10 @@ class PropagationPlan:
     def check_explicit(self, explicit_residuals: np.ndarray) -> np.ndarray:
         """Validate one ``n x k`` explicit-belief matrix against the plan.
 
-        Returns the matrix in the plan's dtype (a view when it already
-        matches, a cast copy otherwise).
+        Returns the matrix as float64 (a view when it already is, a cast
+        copy otherwise).
         """
-        explicit = np.asarray(explicit_residuals, dtype=self.dtype)
+        explicit = np.asarray(explicit_residuals, dtype=np.float64)
         if explicit.ndim != 2:
             raise ValidationError("explicit beliefs must be a 2-D matrix")
         if explicit.shape[0] != self.num_nodes:
@@ -391,28 +367,22 @@ def coupling_key(coupling: CouplingMatrix) -> Tuple[float, bytes]:
 
 
 def get_plan(graph: Graph, coupling: CouplingMatrix,
-             echo_cancellation: bool = True,
-             dtype=array_backend.DEFAULT_DTYPE,
-             backend: str = "numpy") -> PropagationPlan:
+             echo_cancellation: bool = True) -> PropagationPlan:
     """Return the (cached) propagation plan for a solver configuration.
 
-    The cache key is ``(graph identity, echo flag, dtype, backend, ε_H,
-    Ĥo entries)``.  Changing any component — re-scaling the coupling
-    with :meth:`CouplingMatrix.scaled`, or asking for a float32 plan
-    next to an existing float64 one — misses the cache and builds a
-    fresh plan; the stale plan ages out of the bounded LRU (at most
+    The cache key is ``(graph identity, echo flag, ε_H, Ĥo entries)``.
+    Changing any component — e.g. re-scaling the coupling with
+    :meth:`CouplingMatrix.scaled` — misses the cache and builds a fresh
+    plan; the stale plan ages out of the bounded LRU (at most
     ``PLAN_CACHE_SIZE`` plans are retained, least recently used first).
     """
-    key_suffix = (bool(echo_cancellation),
-                  array_backend.dtype_name(dtype), backend) \
-        + coupling_key(coupling)
+    key_suffix = (bool(echo_cancellation),) + coupling_key(coupling)
     plan = _plan_cache.lookup(graph, key_suffix)
     if plan is None:
         with span("engine.plan_build", kind="linbp",
                   nodes=graph.num_nodes):
             plan = PropagationPlan(graph, coupling,
-                                   echo_cancellation=echo_cancellation,
-                                   dtype=dtype, backend=backend)
+                                   echo_cancellation=echo_cancellation)
         PLAN_BUILDS.inc(kind="linbp")
         _plan_cache.store(graph, key_suffix, plan)
     else:

@@ -38,7 +38,6 @@ import scipy.sparse as sp
 
 from repro.coupling.matrices import CouplingMatrix
 from repro.core.results import PropagationResult
-from repro.engine import backend as kernels_backend
 from repro.engine import kernels
 from repro.engine.plan import (
     PLAN_BUILDS,
@@ -92,49 +91,22 @@ class SBPPlan:
     slices:
         ``slices[g − 1]`` is the ``|level g| × |level g−1|`` CSR block of
         the Lemma-17 DAG ``A*`` — the only rows the sweep touches at
-        level ``g`` — stored in the plan's dtype.
-    dtype:
-        Element type of the sweep (float64 default; float32 halves the
-        bytes the level slices and belief buffers move).
+        level ``g``.
     edges_per_sweep:
         Total ``A*`` entries one sweep reads (every edge at most once).
     """
 
-    def __init__(self, graph: Graph, labeled_nodes: Iterable[int],
-                 dtype=kernels_backend.DEFAULT_DTYPE):
+    def __init__(self, graph: Graph, labeled_nodes: Iterable[int]):
         # Only a weak reference to the graph wrapper is kept; the plan owns
         # every artifact it needs, so a cached plan never pins a dead graph.
         self._graph_ref = weakref.ref(graph)
         self.labeled = as_node_array(labeled_nodes)
-        self.dtype: np.dtype = kernels_backend.canonical_dtype(dtype)
         self.levels, self.slices = level_slices(graph, self.labeled)
-        if any(block.dtype != self.dtype for block in self.slices):
-            self.slices = [block.astype(self.dtype) for block in self.slices]
         self.num_nodes = graph.num_nodes
         self.max_level = self.levels.max_level
         self.max_width = max((nodes.size for nodes in self.levels.levels),
                              default=0)
         self.edges_per_sweep = int(sum(block.nnz for block in self.slices))
-        self._slice_infinity_norms: Optional[List[float]] = None
-
-    def slice_infinity_norms(self) -> List[float]:
-        """``‖slice_g‖∞`` per level — the magnitude gain of each sweep step.
-
-        Used by :mod:`repro.engine.precision` to price the float32
-        rounding budget of the single sweep (error introduced at level
-        ``g`` is amplified by at most the product of the later levels'
-        norms).  Computed in float64 once and cached on the plan.
-        """
-        if self._slice_infinity_norms is None:
-            norms = []
-            for block in self.slices:
-                if block.nnz:
-                    norms.append(float(
-                        abs(block.astype(np.float64)).sum(axis=1).max()))
-                else:
-                    norms.append(0.0)
-            self._slice_infinity_norms = norms
-        return self._slice_infinity_norms
 
     @property
     def graph(self) -> Optional[Graph]:
@@ -162,7 +134,7 @@ class SBPPlan:
         ``n × (q·k)`` belief block (zeros on unreachable nodes) and the
         number of ``A*`` entries read.
         """
-        block = np.ascontiguousarray(explicit_block, dtype=self.dtype)
+        block = np.ascontiguousarray(explicit_block, dtype=np.float64)
         if block.ndim != 2 or block.shape[0] != self.num_nodes:
             raise ValidationError(
                 f"expected a 2-D block with {self.num_nodes} rows")
@@ -171,17 +143,17 @@ class SBPPlan:
         if width == 0 or width % k:
             raise ValidationError(
                 f"block width {width} is not a multiple of k={k}")
-        beliefs = np.zeros((self.num_nodes, width), dtype=self.dtype)
+        beliefs = np.zeros((self.num_nodes, width))
         if self.max_level < 0:
             return beliefs, 0
         base = self.levels.nodes_at(0)
         beliefs[base] = block[base]
         if self.max_level == 0:
             return beliefs, 0
-        residual = np.ascontiguousarray(residual, dtype=self.dtype)
-        front = np.empty((self.max_width, width), dtype=self.dtype)
-        back = np.empty((self.max_width, width), dtype=self.dtype)
-        scratch = np.empty((self.max_width, width), dtype=self.dtype)
+        residual = np.ascontiguousarray(residual, dtype=np.float64)
+        front = np.empty((self.max_width, width))
+        back = np.empty((self.max_width, width))
+        scratch = np.empty((self.max_width, width))
         previous = front[:base.size]
         previous[...] = beliefs[base]
         for level in range(1, self.max_level + 1):
@@ -205,24 +177,23 @@ class SBPPlan:
 _sbp_plan_cache = GraphKeyedCache(PLAN_CACHE_SIZE)
 
 
-def get_sbp_plan(graph: Graph, labeled_nodes: Iterable[int],
-                 dtype=kernels_backend.DEFAULT_DTYPE) -> SBPPlan:
+def get_sbp_plan(graph: Graph, labeled_nodes: Iterable[int]) -> SBPPlan:
     """Return the (cached) single-pass plan for a graph and labeled set.
 
-    The cache key is ``(graph identity, sorted labeled-node set,
-    dtype)``; the coupling does not participate because the geodesic
-    structure is coupling-independent.  Entries share the engine's LRU
+    The cache key is ``(graph identity, sorted labeled-node set)``; the
+    coupling does not participate because the geodesic structure is
+    coupling-independent.  Entries share the engine's LRU
     discipline (:data:`repro.engine.plan.PLAN_CACHE_SIZE` entries,
     weakref-evicted when the graph dies) and are cleared by
     :func:`repro.engine.plan.clear_plan_cache`.
     """
     labeled = as_node_array(labeled_nodes)
-    key = (labeled.tobytes(), kernels_backend.dtype_name(dtype))
+    key = (labeled.tobytes(),)
     plan = _sbp_plan_cache.lookup(graph, key)
     if plan is None:
         with span("engine.plan_build", kind="sbp",
                   nodes=graph.num_nodes, labeled=int(labeled.size)):
-            plan = SBPPlan(graph, labeled, dtype=dtype)
+            plan = SBPPlan(graph, labeled)
         PLAN_BUILDS.inc(kind="sbp")
         _sbp_plan_cache.store(graph, key, plan)
     else:
@@ -245,7 +216,6 @@ register_auxiliary_cache(_sbp_plan_cache.clear, sbp_plan_cache_info)
 # ---------------------------------------------------------------------- #
 def run_sbp_batch(graph: Graph, coupling: CouplingMatrix,
                   explicit_list: Sequence[np.ndarray],
-                  dtype=kernels_backend.DEFAULT_DTYPE,
                   profile: bool = False
                   ) -> List[PropagationResult]:
     """Propagate many explicit-belief matrices through shared SBP plans.
@@ -257,20 +227,16 @@ def run_sbp_batch(graph: Graph, coupling: CouplingMatrix,
     for the whole group.  Results come back in input order and match
     sequential :meth:`SBP.run` calls to floating-point round-off.
 
-    ``dtype`` selects the sweep's element width (the level slices, the
-    belief buffers and the returned beliefs); float64 — the default —
-    reproduces the historical numerics bit for bit.  ``profile=True``
-    attaches each query's traversal profile (level count, widest level,
+    ``profile=True`` attaches each query's traversal profile (level count, widest level,
     ``A*`` entries read — see :func:`repro.obs.profile_sbp_query`) to
     ``extra["profile"]``.
     """
     if len(explicit_list) == 0:
         return []
-    dtype = kernels_backend.canonical_dtype(dtype)
     n, k = graph.num_nodes, coupling.num_classes
     checked: List[np.ndarray] = []
     for explicit in explicit_list:
-        matrix = np.ascontiguousarray(explicit, dtype=dtype)
+        matrix = np.ascontiguousarray(explicit, dtype=np.float64)
         if matrix.shape != (n, k):
             raise ValidationError(
                 f"every explicit matrix must be {n} x {k}, got {matrix.shape}")
@@ -282,10 +248,10 @@ def run_sbp_batch(graph: Graph, coupling: CouplingMatrix,
         if key not in groups:
             groups[key] = (labeled, [])
         groups[key][1].append(index)
-    residual = np.ascontiguousarray(coupling.residual, dtype=dtype)
+    residual = np.ascontiguousarray(coupling.residual, dtype=np.float64)
     results: List[Optional[PropagationResult]] = [None] * len(checked)
     for labeled, indices in groups.values():
-        plan = get_sbp_plan(graph, labeled, dtype=dtype)
+        plan = get_sbp_plan(graph, labeled)
         if len(indices) == 1:
             block = checked[indices[0]]
         else:
@@ -306,7 +272,6 @@ def run_sbp_batch(graph: Graph, coupling: CouplingMatrix,
                        "edges_touched": edges_touched,
                        "epsilon": coupling.epsilon,
                        "engine": "sbp_batch",
-                       "dtype": dtype.name,
                        "batch_size": len(checked),
                        **({"profile": profile_sbp_query(plan, edges_touched)}
                           if profile else {})},

@@ -50,8 +50,11 @@ report the top label per labeled node (truncated at ``"limit"``, default
 ``"return_beliefs": true`` for the raw residual belief rows instead.
 Query requests accept every :class:`~repro.service.spec.QuerySpec`
 field (``method``, ``max_iterations``, ``tolerance``,
-``num_iterations``, ``dtype``, ``precision``) plus ``"staleness"``, the
+``num_iterations``) plus ``"staleness"``, the
 :meth:`~repro.service.service.PropagationService.query` staleness bound.
+Every query runs in float64: a request that still carries the retired
+``dtype`` or ``precision`` field is answered with a ``validation`` error
+naming it.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from repro.exceptions import (
 from repro.graphs.graph import Graph
 from repro.obs import iter_registries, obs_enabled, render_prometheus
 from repro.service.service import PropagationService
-from repro.service.spec import QuerySpec
+from repro.service.spec import QuerySpec, whole_number
 
 __all__ = ["ServiceSession", "error_code", "ERROR_CODES"]
 
@@ -127,7 +130,7 @@ def error_code(exception: BaseException) -> str:
 
 def _request_limit(request: dict) -> int:
     """The request's ``limit`` (default :data:`DEFAULT_LIMIT`; 0 = all)."""
-    limit = int(request.get("limit", DEFAULT_LIMIT))
+    limit = whole_number("limit", request.get("limit", DEFAULT_LIMIT))
     if limit < 0:
         raise ValidationError(
             f"limit must be >= 0 (0 means no limit), got {limit}")
@@ -174,10 +177,10 @@ def _belief_payload(beliefs: np.ndarray, limit: int,
     """Belief rows of the emitted non-zero nodes.
 
     v0: ``node:v|v|v`` text with ``%.6g`` values, joined by ``;``.  v1:
-    ``[node, [values...]]`` rows; ``ndarray.tolist`` yields Python floats
-    (exact for float64, the exact widened value for float32), so
-    ``json.dumps`` emits shortest-round-trip literals and ``json.loads``
-    recovers bit-identical float64s, unlike the v0 text.
+    ``[node, [values...]]`` rows; ``ndarray.tolist`` yields the exact
+    Python floats, so ``json.dumps`` emits shortest-round-trip literals
+    and ``json.loads`` recovers bit-identical float64s, unlike the v0
+    text.
     """
     nodes, truncated = _emitted(
         np.flatnonzero(np.any(beliefs != 0.0, axis=1)), limit)
@@ -438,7 +441,8 @@ class ServiceSession:
             request, defaults=self.service.default_spec)
         result = self.service.query(
             graph_name, coupling, explicit, spec,
-            max_staleness=int(request.get("staleness", 0)))
+            max_staleness=whole_number("staleness",
+                                       request.get("staleness", 0)))
         _require_finite_result(result)
         fields = [("method", result.method),
                   ("iterations", int(result.iterations)),

@@ -64,7 +64,6 @@ from repro.core.sbp import SBP
 from repro.coupling.matrices import CouplingMatrix
 from repro.engine import batch as engine_batch
 from repro.engine import plan as engine_plan
-from repro.engine import precision as engine_precision
 from repro.engine import sbp_plan as engine_sbp
 from repro.exceptions import ValidationError
 from repro.graphs.graph import Edge, Graph
@@ -290,7 +289,7 @@ class PropagationService:
             {"version": 1,
              "kind": "repro-serving-config",        # optional
              "service": {"window_ms": 2.0, "max_batch": 16, ...},
-             "query":   {"dtype": "float32", ...},  # optional
+             "query":   {"tolerance": 1e-8, ...},   # optional
              "meta":    {...}}                      # optional, ignored
 
         Validation is strict and names what it rejects: unknown keys at
@@ -480,7 +479,7 @@ class PropagationService:
         shared — treat them as read-only.
 
         ``spec`` is the single parameter object describing the solve
-        (method, iteration budget, dtype, precision — see
+        (method and iteration budget — see
         :class:`~repro.service.spec.QuerySpec`); ``None`` means the
         default spec.  Explicit beliefs must be finite: a NaN or
         ±Infinity cell raises :class:`ValidationError` before any cache
@@ -498,8 +497,6 @@ class PropagationService:
         if max_staleness < 0:
             raise ValidationError("max_staleness must be >= 0")
         family, echo = spec.family, spec.echo
-        precision = spec.precision
-        dtype = spec.numpy_dtype
         tolerance = spec.tolerance
         max_iterations = spec.max_iterations
         num_iterations = spec.num_iterations
@@ -535,32 +532,17 @@ class PropagationService:
                          coupling_id, labeled.tobytes())
 
             def dispatch(items: List[object]) -> Sequence[PropagationResult]:
-                explicits = [item[0] for item in items]
-                if precision == "auto":
-                    results, _ = engine_precision.run_sbp_batch_auto(
-                        snapshot.graph, coupling, explicits,
-                        tolerance=tolerance)
-                    return results
                 return engine_sbp.run_sbp_batch(
-                    snapshot.graph, coupling, explicits, dtype=dtype)
+                    snapshot.graph, coupling, [item[0] for item in items])
         else:
             batch_key = (id(snapshot.graph), snapshot.version, params,
                          coupling_id)
 
             def dispatch(items: List[object]) -> Sequence[PropagationResult]:
-                explicits = [item[0] for item in items]
-                if precision == "auto":
-                    results, _ = engine_precision.run_batch_auto(
-                        snapshot.graph, coupling, explicits,
-                        echo_cancellation=echo,
-                        max_iterations=max_iterations, tolerance=tolerance,
-                        num_iterations=num_iterations)
-                    return results
                 plan = engine_plan.get_plan(snapshot.graph, coupling,
-                                            echo_cancellation=echo,
-                                            dtype=dtype)
+                                            echo_cancellation=echo)
                 return engine_batch.run_batch(
-                    plan, explicits,
+                    plan, [item[0] for item in items],
                     max_iterations=max_iterations, tolerance=tolerance,
                     num_iterations=num_iterations)
 

@@ -1,9 +1,9 @@
 """The query parameter object of the service layer.
 
 :class:`QuerySpec` is the *single* description of "how to solve one
-propagation query": method, iteration budget, tolerance, dtype and
-precision mode.  One frozen, hashable value object travels through every
-layer that used to take a sprawl of keyword arguments —
+propagation query": method, iteration budget and tolerance.  One frozen,
+hashable value object travels through every layer that used to take a
+sprawl of keyword arguments —
 
 * :meth:`repro.service.service.PropagationService.query` takes a spec;
 * the coalescer's batch key and the result-cache key embed
@@ -14,25 +14,25 @@ layer that used to take a sprawl of keyword arguments —
   so the line protocol and the Python API accept exactly the same
   parameter surface.
 
-Specs are validated on construction (unknown method, bad dtype, bad
-precision, non-positive budgets all raise
-:class:`~repro.exceptions.ValidationError` immediately), which moves
-every parameter error to the edge — by the time a spec reaches the
-engines it is known-good.
+Every query is solved in float64.  Specs are validated on construction
+(unknown method, non-finite tolerance, non-integral or non-positive
+budgets all raise :class:`~repro.exceptions.ValidationError`
+immediately), which moves every parameter error to the edge — by the
+time a spec reaches the engines it is known-good.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.engine import backend as array_backend
-from repro.engine import precision as engine_precision
 from repro.exceptions import ValidationError
 
-__all__ = ["QuerySpec", "METHODS"]
+__all__ = ["QuerySpec", "METHODS", "RETIRED_FIELDS", "whole_number"]
 
 #: Methods the service can route; values are (solver family, echo flag).
 METHODS: Dict[str, Tuple[str, bool]] = {
@@ -40,6 +40,36 @@ METHODS: Dict[str, Tuple[str, bool]] = {
     "linbp*": ("linbp", False),
     "sbp": ("sbp", True),
 }
+
+#: Request fields that once chose a kernel element width.  A request that
+#: still carries one is refused rather than answered in float64 with the
+#: field ignored.
+RETIRED_FIELDS = ("dtype", "precision")
+
+
+def whole_number(name: str, value: object) -> int:
+    """``value`` as an ``int``, or :class:`ValidationError` naming ``name``.
+
+    Accepts integers, integral floats (``2.0``) and numeric strings
+    (``"50"``); refuses booleans, fractions (``2.7``), non-finite
+    numbers and anything else, instead of truncating or coercing them.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    try:
+        if isinstance(value, str):
+            return int(value)
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be a whole number, got {value!r}") from None
+    if not number.is_integer():
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -59,45 +89,34 @@ class QuerySpec:
         gradients (stop: certified error bound below ``tolerance``;
         ``max_iterations`` then caps CG steps) — see
         :func:`repro.engine.batch.run_batch`.  Ignored by the
-        single-pass SBP family except where ``precision="auto"`` reads
-        the tolerance for its certificate.
-    dtype:
-        Kernel element width as a canonical dtype *name* (``"float64"``
-        default, ``"float32"``); any numpy dtype-like spells it.
-    precision:
-        ``"strict"`` runs exactly ``dtype``; ``"auto"`` lets the
-        Lemma-8 certificate choose (see :mod:`repro.engine.precision`).
+        single-pass SBP family.
     """
 
     method: str = "linbp"
     max_iterations: int = 100
     tolerance: float = 1e-10
     num_iterations: Optional[int] = None
-    dtype: str = "float64"
-    precision: str = "strict"
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of "
                 f"{sorted(METHODS)}")
-        object.__setattr__(self, "precision",
-                           engine_precision.validate_precision(self.precision))
-        dtype = array_backend.canonical_dtype(
-            self.dtype if self.dtype is not None
-            else array_backend.DEFAULT_DTYPE)
-        object.__setattr__(self, "dtype", dtype.name)
+        max_iterations = whole_number("max_iterations", self.max_iterations)
+        num_iterations = None if self.num_iterations is None \
+            else whole_number("num_iterations", self.num_iterations)
+        if isinstance(self.tolerance, (bool, np.bool_)):
+            raise ValidationError(
+                f"tolerance must be a number, got {self.tolerance!r}")
         try:
-            max_iterations = int(self.max_iterations)
             tolerance = float(self.tolerance)
-            num_iterations = None if self.num_iterations is None \
-                else int(self.num_iterations)
         except (TypeError, ValueError) as error:
             raise ValidationError(f"malformed QuerySpec field: {error}")
         if max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if not tolerance > 0.0:
-            raise ValidationError("tolerance must be > 0")
+        if not (tolerance > 0.0 and math.isfinite(tolerance)):
+            raise ValidationError(
+                f"tolerance must be finite and > 0, got {tolerance!r}")
         if num_iterations is not None and num_iterations < 1:
             raise ValidationError("num_iterations must be >= 1 (or None)")
         object.__setattr__(self, "max_iterations", max_iterations)
@@ -117,11 +136,6 @@ class QuerySpec:
         """Whether the LinBP-family solve cancels echo terms."""
         return METHODS[self.method][1]
 
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        """The spec's dtype as a numpy dtype object."""
-        return array_backend.canonical_dtype(self.dtype)
-
     def solver_params(self) -> Tuple:
         """The batch/result-cache key fragment this spec contributes.
 
@@ -130,14 +144,12 @@ class QuerySpec:
         ``solver_params()`` agree.  Single-pass SBP ignores the
         iterative budget, so those fields must not fragment its batches:
         requests differing only in ``max_iterations``/``tolerance``
-        still share a key — except under ``precision="auto"``, whose
-        certificate depends on the tolerance.
+        still share a key.
         """
         if self.family == "sbp":
-            return (self.method, self.dtype, self.precision) \
-                + ((self.tolerance,) if self.precision == "auto" else ())
-        return (self.method, self.dtype, self.precision,
-                self.max_iterations, self.tolerance, self.num_iterations)
+            return (self.method,)
+        return (self.method, self.max_iterations, self.tolerance,
+                self.num_iterations)
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -153,11 +165,17 @@ class QuerySpec:
         their defaults — the class defaults, or ``defaults``'s field
         values when a base spec is given (how ``repro serve --config``
         applies a tuned artifact's query section to requests that do
-        not bring their own settings).  Validation happens in
+        not bring their own settings).  A request carrying one of
+        :data:`RETIRED_FIELDS` is refused.  Validation happens in
         ``__post_init__``, so a malformed field raises
         :class:`ValidationError` with the wire error code
         ``validation``.
         """
+        for name in RETIRED_FIELDS:
+            if name in request:
+                raise ValidationError(
+                    f"query field {name!r} is no longer accepted: every "
+                    "query runs in float64")
         kwargs = {} if defaults is None else \
             {field.name: getattr(defaults, field.name) for field in
              fields(cls)}

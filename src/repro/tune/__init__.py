@@ -1,13 +1,12 @@
 """``repro.tune`` — ablation and autotuning over the serving knob space.
 
 The serving stack has several interacting knobs — micro-batch window,
-cache sizes, TTLs, dtype/precision policy, convergence tolerance — and
+cache sizes, TTLs, convergence tolerance — and
 this package is the structured answer to *which of them earn their
 keep on a given graph*:
 
 * :mod:`repro.tune.space` — the typed config-space model: parameter
-  declarations with validity gates, and content-addressed config
-  hashing → stable run IDs;
+  declarations and content-addressed config hashing → stable run IDs;
 * :mod:`repro.tune.runner` — the ablation runner: executes candidate
   configs against a seeded :meth:`ServiceHarness.run_mixed` closed loop
   (or an engine-only ``run_batch`` drive) with crash isolation and

@@ -37,7 +37,7 @@ Workloads are built once and reused across every candidate:
 :func:`make_mixed_workload` produces the closed-loop mixed update/query
 shape (the serving scenario the knobs exist for), and
 :func:`make_engine_workload` a pure :func:`repro.engine.batch.run_batch`
-drive for engine-only sweeps of the numeric knobs.
+drive for engine-only sweeps of the tolerance.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class Workload:
 
     ``kind`` is ``"mixed"`` (closed-loop update/query traffic through a
     full service — the default) or ``"engine"`` (repeated
-    ``run_batch`` calls, for sweeps of the numeric knobs alone).
+    ``run_batch`` calls, for sweeps of the tolerance alone).
     ``requests`` carry *payloads*, not specs: the runner injects each
     candidate's :class:`~repro.service.spec.QuerySpec` at execution
     time, so one workload serves every configuration.
@@ -163,8 +163,8 @@ class RunMetrics:
 class RunRecord:
     """One candidate's outcome: its stable ID, status, and metrics.
 
-    ``status`` is ``"ok"`` (measured), ``"skipped"`` (a gate refused the
-    configuration — ``error`` holds the gate's reason), ``"failed"``
+    ``status`` is ``"ok"`` (measured), ``"skipped"`` (the configuration
+    is not in the space — ``error`` holds the reasons), ``"failed"``
     (the run raised — ``error`` holds the exception) or ``"timeout"``.
     """
 
@@ -270,8 +270,8 @@ def make_engine_workload(graph, coupling, *, seed: int = 0,
                          description: str = "") -> Workload:
     """A pure ``run_batch`` workload for engine-only sweeps.
 
-    Only the numeric knobs (dtype / precision / tolerance) matter here;
-    the service-layer keys of a candidate are accepted and ignored.
+    Only the tolerance matters here; the service-layer keys of a
+    candidate are accepted and ignored.
     """
     rng = np.random.default_rng(seed)
     num_classes = coupling.num_classes
@@ -336,9 +336,7 @@ def _query_spec(workload: Workload, config: Dict[str, object]):
     return QuerySpec(
         method="linbp",
         max_iterations=workload.max_iterations,
-        tolerance=config.get("tolerance", 1e-10),
-        dtype=config.get("dtype", "float64"),
-        precision=config.get("precision", "strict"))
+        tolerance=config.get("tolerance", 1e-10))
 
 
 def _drive_mixed(workload: Workload, config: Dict[str, object]):
@@ -370,7 +368,6 @@ def _drive_engine(workload: Workload, config: Dict[str, object]):
     """Engine-only drive: ``engine_rounds`` timed stacked batch calls."""
     from repro.engine import batch as engine_batch
     from repro.engine import plan as engine_plan
-    from repro.engine import precision as engine_precision
     from repro.service.harness import HarnessRun
 
     tolerance = float(config.get("tolerance", 1e-10))
@@ -379,17 +376,10 @@ def _drive_engine(workload: Workload, config: Dict[str, object]):
     start = time.perf_counter()
     for _ in range(workload.engine_rounds):
         issued = time.perf_counter()
-        if config.get("precision", "strict") == "auto":
-            engine_precision.run_batch_auto(
-                workload.graph, workload.coupling, explicits,
-                max_iterations=workload.max_iterations, tolerance=tolerance)
-        else:
-            plan = engine_plan.get_plan(
-                workload.graph, workload.coupling,
-                dtype=np.dtype(config.get("dtype", "float64")))
-            engine_batch.run_batch(plan, explicits,
-                                   max_iterations=workload.max_iterations,
-                                   tolerance=tolerance)
+        plan = engine_plan.get_plan(workload.graph, workload.coupling)
+        engine_batch.run_batch(plan, explicits,
+                               max_iterations=workload.max_iterations,
+                               tolerance=tolerance)
         latencies.append(time.perf_counter() - issued)
     elapsed = time.perf_counter() - start
     return HarnessRun(results=[None] * len(latencies),
@@ -574,20 +564,12 @@ class AblationRunner:
         """One-factor ablation: the baseline plus every single-knob change.
 
         Returns ``(baseline_record, runs)`` where each entry of ``runs``
-        is ``(parameter, value, record)`` — gated-out changes appear as
-        ``skipped`` records, crashed ones as ``failed``; the sweep
-        always completes.
+        is ``(parameter, value, record)`` — crashed changes appear as
+        ``failed`` records; the sweep always completes.
         """
         baseline_config = self.space.default_config()
         baseline = self.run_config(baseline_config)
-        runs: List[Tuple[str, object, RunRecord]] = []
-        for parameter, value, config, skip_reason in \
-                self.space.one_factor_configs(baseline_config):
-            if skip_reason is not None:
-                record = self._finish(RunRecord(
-                    run_id=config_id(config), config=config,
-                    status="skipped", error=skip_reason))
-            else:
-                record = self.run_config(config)
-            runs.append((parameter, value, record))
+        runs = [(parameter, value, self.run_config(config))
+                for parameter, value, config in
+                self.space.one_factor_configs(baseline_config)]
         return baseline, runs

@@ -18,8 +18,7 @@ The emitted artifact is exactly what
     {"version": 1,
      "kind": "repro-serving-config",
      "service": {"window_ms": 2.0, "max_batch": 16, ...},
-     "query":   {"dtype": "float64", "precision": "strict",
-                 "tolerance": 1e-10},
+     "query":   {"tolerance": 1e-10},
      "meta":    {...provenance: run IDs, metrics, workload...}}
 
 ``meta`` is provenance only — the consumer validates ``service`` and
@@ -91,12 +90,12 @@ def select_config(runner: AblationRunner, *, rounds: int = 2,
     """Coordinate descent from the default config over ``runner``'s space.
 
     Each round walks the parameters in the space's declared order; for
-    every parameter the admissible alternative values (one-knob changes
-    from the *current* incumbent) are measured, and the best accepted
+    every parameter the alternative values (one-knob changes from the
+    *current* incumbent) are measured, and the best accepted
     dominator — largest summed relative gain, declared value order
     breaking ties — becomes the new incumbent.  The descent stops after
     a round with no accepted move, or after ``rounds`` rounds.  Every
-    evaluation (including skips and rejections) lands in the trace.
+    evaluation (including failures and rejections) lands in the trace.
     """
     if rounds < 1:
         raise ValidationError("rounds must be >= 1")
@@ -116,17 +115,13 @@ def select_config(runner: AblationRunner, *, rounds: int = 2,
         accepted_any = False
         for parameter in space.names():
             best: Optional[Tuple[float, Dict, RunRecord, object]] = None
-            for name, value, config, skip_reason in \
+            for name, value, config in \
                     space.one_factor_configs(incumbent_config):
                 if name != parameter:
                     continue
                 entry = {"round": round_index, "parameter": parameter,
                          "value": value, "run_id": config_id(config),
                          "accepted": False}
-                if skip_reason is not None:
-                    entry.update(status="skipped", reason=skip_reason)
-                    trace.append(entry)
-                    continue
                 record = runner.run_config(config)
                 entry["status"] = record.status
                 if not record.ok:

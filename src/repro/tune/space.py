@@ -1,23 +1,16 @@
-"""The serving-config knob space: typed parameters, gates, stable run IDs.
+"""The serving-config knob space: typed parameters, stable run IDs.
 
 The serving system has several interacting knobs — micro-batch window,
-cache sizes, TTLs, precision policy, convergence tolerance.  This
-module turns that implicit knob sprawl into an explicit, typed
-**configuration space**:
+cache sizes, TTLs, convergence tolerance.  This module turns that
+implicit knob sprawl into an explicit, typed **configuration space**:
 
 * :class:`Parameter` — one knob: a name, a kind (categorical / int /
-  float), the discrete candidate values the tuner may try, a default,
-  and an optional *gate* — a validity predicate over ``(value,
-  config)`` that prices a value against the rest of the configuration
-  ("``dtype="float32"`` is inert under ``precision="auto"``").  A gate
-  returns ``None`` when the value is admissible and a short
-  human-readable reason when it is not — the reason lands verbatim in
-  ablation reports, so a skipped configuration is always explained.
+  float), the discrete candidate values the tuner may try and a
+  default.
 * :class:`ConfigSpace` — an ordered collection of parameters with the
   operations the ablation runner and the autotuner need: the default
   configuration, validation, the one-factor neighbourhood of a baseline
-  (every admissible single-knob change), and deterministic config
-  hashing.
+  (every single-knob change), and deterministic config hashing.
 * :func:`config_id` — the stable run identifier: the SHA-1 of the
   canonical JSON encoding of a configuration.  Content-addressed and
   time-free, so the same configuration gets the same run ID in every
@@ -25,7 +18,7 @@ module turns that implicit knob sprawl into an explicit, typed
   on it.
 * :func:`service_config_space` — the concrete knob space of
   :class:`~repro.service.service.PropagationService` plus the per-query
-  solver knobs (dtype / precision / tolerance).
+  solver tolerance.
 
 The space is deliberately *discrete*: every parameter enumerates the
 handful of values worth trying, because the tuner's unit of work — one
@@ -38,8 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ValidationError
 
@@ -51,12 +44,6 @@ __all__ = [
     "SERVICE_KEYS",
     "QUERY_KEYS",
 ]
-
-#: A gate prices one value in the context of a full configuration;
-#: ``None`` means admissible, a string is the reason the value is not
-#: (shown verbatim in reports).
-Gate = Callable[[object, Dict[str, object]], Optional[str]]
-
 
 @dataclass(frozen=True)
 class Parameter:
@@ -72,7 +59,6 @@ class Parameter:
     values: Tuple[object, ...]
     default: object
     help: str = ""
-    gate: Optional[Gate] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("categorical", "int", "float"):
@@ -87,14 +73,11 @@ class Parameter:
                 f"parameter {self.name!r}: default {self.default!r} is not "
                 f"among its values {list(self.values)}")
 
-    def check(self, value: object,
-              config: Dict[str, object]) -> Optional[str]:
-        """``None`` when ``value`` is admissible here, else the reason."""
+    def check(self, value: object) -> Optional[str]:
+        """``None`` when ``value`` is a candidate value, else the reason."""
         if value not in self.values:
             return (f"{value!r} is not a candidate value of "
                     f"{self.name!r} (expected one of {list(self.values)})")
-        if self.gate is not None:
-            return self.gate(value, config)
         return None
 
 
@@ -159,33 +142,27 @@ class ConfigSpace:
             if parameter.name not in config:
                 reasons.append(f"missing parameter {parameter.name!r}")
                 continue
-            reason = parameter.check(config[parameter.name], config)
+            reason = parameter.check(config[parameter.name])
             if reason is not None:
                 reasons.append(f"{parameter.name}: {reason}")
         return reasons
 
     def one_factor_configs(
             self, baseline: Dict[str, object]
-    ) -> List[Tuple[str, object, Dict[str, object], Optional[str]]]:
+    ) -> List[Tuple[str, object, Dict[str, object]]]:
         """The one-factor-at-a-time neighbourhood of ``baseline``.
 
         For every parameter and every non-baseline candidate value,
-        yields ``(parameter, value, config, skip_reason)`` where
-        ``config`` is the baseline with that single knob changed.
-        Inadmissible changes are *returned, not dropped* — their
-        ``skip_reason`` explains the gate that refused them, so the
-        ablation report can show "dtype float32: skipped (auto precision
-        chooses its own dtype)" instead of silently omitting a row.
+        yields ``(parameter, value, config)`` where ``config`` is the
+        baseline with that single knob changed.
         """
         neighbours = []
         for parameter in self:
             for value in parameter.values:
                 if value == baseline.get(parameter.name):
                     continue
-                config = dict(baseline, **{parameter.name: value})
-                reasons = self.validate(config)
-                neighbours.append((parameter.name, value, config,
-                                   "; ".join(reasons) or None))
+                neighbours.append((parameter.name, value,
+                                   dict(baseline, **{parameter.name: value})))
         return neighbours
 
 
@@ -232,21 +209,14 @@ SERVICE_KEYS = (
 )
 
 #: Config keys that parameterise the queries (``QuerySpec`` fields).
-QUERY_KEYS = ("dtype", "precision", "tolerance")
-
-
-def _gate_float32(value, config):
-    if value == "float32" and config.get("precision") == "auto":
-        return ("auto precision chooses its own dtype; pin "
-                "precision='strict' to force float32")
-    return None
+QUERY_KEYS = ("tolerance",)
 
 
 def service_config_space() -> ConfigSpace:
     """The standard knob space of the propagation serving stack.
 
     High-leverage knobs first (the coordinate-descent tuner walks the
-    declaration order): batching, then caching, then numerics.
+    declaration order): batching, then caching, then the tolerance.
     """
     return ConfigSpace([
         Parameter("window_ms", "float", (0.0, 0.5, 2.0, 5.0), 2.0,
@@ -261,12 +231,6 @@ def service_config_space() -> ConfigSpace:
         Parameter("snapshot_history", "int", (0, 4), 4,
                   help="past snapshot versions retained for "
                        "staleness-bounded reads"),
-        Parameter("dtype", "categorical", ("float64", "float32"), "float64",
-                  help="kernel element width for strict-precision queries",
-                  gate=_gate_float32),
-        Parameter("precision", "categorical", ("strict", "auto"), "strict",
-                  help="pin the dtype or let the Lemma-8 certificate "
-                       "choose"),
         Parameter("tolerance", "float", (1e-10, 1e-8, 1e-6), 1e-10,
                   help="convergence threshold on the max belief change"),
     ])

@@ -18,7 +18,7 @@ from repro.core.linbp import linbp_closed_form
 from repro.coupling import CouplingMatrix
 from repro.datasets import kronecker_suite
 from repro.engine import BatchWorkspace, clear_plan_cache, get_plan, run_batch
-from repro.engine.batch import CG_MIN_RADIUS, solver_radius
+from repro.engine.batch import CG_MIN_RADIUS
 
 TOLERANCE = 1e-10
 
@@ -262,14 +262,6 @@ class TestSolverChoice:
         for _ in range(7):
             workspace.step()
         assert np.array_equal(result.beliefs, workspace.beliefs(0))
-
-    def test_float32_plans_run_jacobi(self, suite):
-        workload = suite[0]
-        plan = get_plan(workload.graph, _near_limit(workload, 0.9),
-                        dtype=np.float32)
-        (result,) = run_batch(plan, [workload.explicit], tolerance=1e-4)
-        assert result.extra["solver"] == "jacobi"
-        assert solver_radius(plan) is None
 
     def test_divergent_radius_runs_jacobi(self, suite):
         workload = suite[0]

@@ -1,4 +1,4 @@
-"""Kernel-level guarantees: spmm dtype guard, fallback tiers, dtype-neutral fills."""
+"""Kernel-level guarantees: spmm dtype guard, fallback tier, dtype-neutral fills."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.engine import backend, kernels
+from repro.engine import kernels
 from repro.exceptions import ValidationError
 
 
@@ -59,14 +59,13 @@ class TestZeroFill:
 
 
 class TestFallbackTiers:
-    """Satellite: the engine must survive losing the private scipy symbol."""
+    """The engine must survive losing the private scipy symbol."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_generic_fallback_matches_inplace_path(self, dtype, monkeypatch):
         matrix, dense, out = _operands(dtype)
         fast = kernels.spmm(matrix, dense, out).copy()
         monkeypatch.setattr(kernels, "HAVE_INPLACE_SPMM", False)
-        monkeypatch.setattr(backend, "HAVE_NUMBA", False)
         slow = kernels.spmm(matrix, dense, np.empty_like(out))
         # Same scipy accumulation loop underneath - bitwise identical.
         assert np.array_equal(fast, slow)
@@ -75,27 +74,9 @@ class TestFallbackTiers:
         matrix, dense, out = _operands(np.float64)
         expected = kernels.spmm(matrix, dense, out).copy()
         monkeypatch.setattr(kernels, "HAVE_INPLACE_SPMM", False)
-        monkeypatch.setattr(backend, "HAVE_NUMBA", False)
         accumulated = expected.copy()
         kernels.spmm(matrix, dense, accumulated, accumulate=True)
         assert np.allclose(accumulated, 2 * expected)
-
-    def test_numba_tier_used_when_inplace_lost(self, monkeypatch):
-        matrix, dense, out = _operands(np.float64)
-        expected = kernels.spmm(matrix, dense, out).copy()
-        calls = []
-
-        def fake_numba_spmm(csr, block, buffer, accumulate=False):
-            calls.append(True)
-            buffer[...] = csr @ block
-            return buffer
-
-        monkeypatch.setattr(kernels, "HAVE_INPLACE_SPMM", False)
-        monkeypatch.setattr(backend, "HAVE_NUMBA", True)
-        monkeypatch.setattr(backend, "numba_spmm", fake_numba_spmm)
-        routed = kernels.spmm(matrix, dense, np.empty_like(out))
-        assert calls, "numba tier was not consulted"
-        assert np.array_equal(routed, expected)
 
     def test_whole_batch_run_identical_without_inplace_spmm(self, monkeypatch):
         from repro.coupling import synthetic_residual_matrix
@@ -112,7 +93,6 @@ class TestFallbackTiers:
         clear_plan_cache()
         fast = run_batch(get_plan(graph, coupling), [explicit])[0]
         monkeypatch.setattr(kernels, "HAVE_INPLACE_SPMM", False)
-        monkeypatch.setattr(backend, "HAVE_NUMBA", False)
         clear_plan_cache()
         slow = run_batch(get_plan(graph, coupling), [explicit])[0]
         clear_plan_cache()

@@ -13,7 +13,7 @@ from repro.engine import (
     get_plan,
     plan_cache_info,
 )
-from repro.graphs import chain_graph, random_graph, torus_graph
+from repro.graphs import Graph, chain_graph, random_graph, torus_graph
 from repro.graphs import linalg
 
 
@@ -85,6 +85,39 @@ class TestPlanArtifacts:
         radii = {PropagationPlan(graph, coupling).update_spectral_radius()
                  for _ in range(3)}
         assert len(radii) == 1
+
+    @pytest.mark.parametrize("echo", [True, False])
+    def test_infinity_norm_equals_the_absolute_row_sum_form(self, echo):
+        from repro.datasets import kronecker_suite
+
+        workload = kronecker_suite(max_index=4, seed=0)[3]
+        coupling = workload.coupling.scaled(0.05)
+        plan = PropagationPlan(workload.graph, coupling,
+                               echo_cancellation=echo)
+        expected = abs(workload.graph.adjacency).sum(axis=1).max() \
+            * np.abs(coupling.residual).sum(axis=1).max()
+        if echo:
+            expected += workload.graph.degree_vector().max() \
+                * np.abs(coupling.residual_squared).sum(axis=1).max()
+        assert plan.operator_infinity_norm() == expected
+
+    def test_infinity_norm_bounds_the_radius_with_a_negative_weight(self):
+        # Node 0 has edges of weight +1 and -1: its signed row sum is 0,
+        # below rho(A) = sqrt(2), so only the absolute row sums bound rho.
+        adjacency = np.array([[0.0, 1.0, -1.0],
+                              [1.0, 0.0, 0.0],
+                              [-1.0, 0.0, 0.0]])
+        graph = Graph(adjacency, validate=False)
+        coupling = homophily_matrix(epsilon=1.0)
+        for echo in (True, False):
+            plan = PropagationPlan(graph, coupling, echo_cancellation=echo)
+            signed_norm = adjacency.sum(axis=1).max() \
+                * np.abs(plan.residual).sum(axis=1).max()
+            if echo:
+                signed_norm += plan.degrees.max() \
+                    * np.abs(plan.residual_squared).sum(axis=1).max()
+            radius = plan.update_spectral_radius()
+            assert signed_norm < radius <= plan.operator_infinity_norm()
 
 
 class TestPlanCache:

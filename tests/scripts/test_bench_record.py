@@ -82,14 +82,8 @@ class TestSuites:
         assert completed.returncode != 0
         assert "unknown benchmark suite 'turbo'" in completed.stderr
         # The error must hand the operator the fix: every valid name.
-        for name in ("engine", "sql", "precision", "all"):
+        for name in ("engine", "sql", "stream", "all"):
             assert name in completed.stderr
-
-    def test_precision_suite_defaults_to_precision_baseline(self, tmp_path):
-        completed = _run("--compare", "--suite", "precision", "--baseline",
-                         str(tmp_path / "BENCH_precision.json"))
-        assert completed.returncode != 0
-        assert "BENCH_precision.json" in completed.stderr
 
     def test_suite_all_rejects_baseline_and_target_overrides(self):
         completed = _run("--compare", "--suite", "all",
@@ -103,7 +97,7 @@ class TestSuites:
             import bench_record
             assert bench_record.resolve_suites("all") == \
                 sorted(bench_record.SUITES)
-            assert bench_record.resolve_suites("precision") == ["precision"]
+            assert bench_record.resolve_suites("stream") == ["stream"]
         finally:
             sys.path.remove(str(SCRIPT.parent))
 
@@ -112,7 +106,7 @@ class TestSuites:
         sys.path.insert(0, str(SCRIPT.parent))
         try:
             import bench_record
-            for name in ("BENCH_sbp.json", "BENCH_precision.json",
+            for name in ("BENCH_sbp.json", "BENCH_stream.json",
                          "BENCH_tune.json"):
                 baseline = bench_record.load_baseline(REPO_ROOT / name)
                 assert baseline["kernels"]

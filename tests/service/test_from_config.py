@@ -27,8 +27,7 @@ def _artifact(**overrides):
             "result_ttl_seconds": 300.0,
             "snapshot_history": 4,
         },
-        "query": {"dtype": "float64", "precision": "strict",
-                  "tolerance": 1e-8},
+        "query": {"tolerance": 1e-8},
         "meta": {"run_id": "run-abc", "anything": ["goes", "here"]},
     }
     config.update(overrides)
@@ -149,13 +148,15 @@ class TestRejection:
         assert accepted in message
         assert repr(bad) in message
 
-    def test_query_section_unknown_key_rejected(self):
+    @pytest.mark.parametrize("key, value", [
+        ("solver", "jacobi"), ("dtype", "float64"), ("precision", "strict")])
+    def test_query_section_unknown_key_rejected(self, key, value):
         artifact = _artifact()
-        artifact["query"]["solver"] = "jacobi"
+        artifact["query"][key] = value
         with pytest.raises(ValidationError) as excinfo:
             PropagationService.from_config(artifact)
         message = str(excinfo.value)
-        assert "'solver'" in message
+        assert repr(key) in message
         assert "'tolerance'" in message
 
     def test_query_section_bad_value_uses_spec_validation(self):

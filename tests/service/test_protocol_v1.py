@@ -205,6 +205,23 @@ class TestV1ErrorPaths:
         assert body["error"]["code"] == "validation"
         body = _query(session, tolerance=0)
         assert body["error"]["code"] == "validation"
+        # A literal 1e400 parses to inf; it must not answer "converged".
+        line = _line(v=1, op="query", graph="g", coupling="h",
+                     beliefs=[[0, 0, 0.9], [0, 1, -0.9]])
+        response, _ = session.handle_line(line[:-1] + ', "tolerance": 1e400}')
+        assert json.loads(response)["error"]["code"] == "validation"
+
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", "float32"), ("dtype", "float64"), ("precision", "auto")])
+    def test_retired_fields_are_refused_by_name(self, field, value):
+        session = _session()
+        body = _query(session, **{field: value})
+        assert body["error"]["code"] == "validation"
+        assert repr(field) in body["error"]["message"]
+        v0, _ = session.handle_line(_line(
+            op="query", graph="g", coupling="h", beliefs=[[0, 0, 0.9]],
+            **{field: value}))
+        assert v0.startswith("error ") and repr(field) in v0
 
     def test_unknown_coupling_and_graph(self):
         session = _session()

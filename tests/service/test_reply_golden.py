@@ -4,14 +4,14 @@
 lines ``ServiceSession.handle_line`` gave for them before the reply
 renderer was rewritten to build only the requested protocol version and
 only the rows it emits.  The scenario covers v0 and v1 ``query`` replies
-(labels and ``return_beliefs``, several methods and dtypes) and
-``read_view`` replies at ``limit`` absent, 0, 3, 10 and past the node
-count, plus graph loads, updates, errors and the v0 ``stats`` line.
+(labels and ``return_beliefs``, several methods) and ``read_view``
+replies at ``limit`` absent, 0, 3, 10 and past the node count, plus
+graph loads, updates, errors and the v0 ``stats`` line.  A query that
+still asks for ``"dtype": "float32"`` pins the error that refuses it.
 
 Every query pins ``num_iterations`` and every input is a dyadic
-rational, so the belief values are exact in float64 (float32 for the
-float32 query) whatever order a kernel sums in: the fixture does not
-depend on the host's BLAS.
+rational, so the belief values are exact in float64 whatever order a
+kernel sums in: the fixture does not depend on the host's BLAS.
 
 Regenerate (only when a reply format change is intended)::
 

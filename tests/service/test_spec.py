@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.coupling import synthetic_residual_matrix
-from repro.exceptions import UnknownBackendError, ValidationError
+from repro.exceptions import ValidationError
 from repro.graphs import random_graph
 from repro.service import PropagationService, QuerySpec
 
@@ -26,8 +26,6 @@ class TestConstruction:
         assert spec.max_iterations == 100
         assert spec.tolerance == 1e-10
         assert spec.num_iterations is None
-        assert spec.dtype == "float64"
-        assert spec.precision == "strict"
 
     def test_frozen_and_hashable(self):
         spec = QuerySpec()
@@ -37,17 +35,14 @@ class TestConstruction:
         assert hash(spec) == hash(QuerySpec())
         assert QuerySpec(method="sbp") != spec
 
-    def test_dtype_canonicalised_to_name(self):
-        assert QuerySpec(dtype=np.float32).dtype == "float32"
-        assert QuerySpec(dtype="float32") == QuerySpec(dtype=np.float32)
-        assert QuerySpec().numpy_dtype == np.dtype(np.float64)
-
     def test_numeric_coercion(self):
         spec = QuerySpec(max_iterations="50", tolerance="1e-8",
                          num_iterations="7")
         assert spec.max_iterations == 50
         assert spec.tolerance == 1e-8
         assert spec.num_iterations == 7
+        spec = QuerySpec(max_iterations=50.0, num_iterations=np.int64(7))
+        assert spec.max_iterations == 50 and spec.num_iterations == 7
 
     @pytest.mark.parametrize("kwargs", [
         dict(method="bp"),
@@ -56,15 +51,23 @@ class TestConstruction:
         dict(tolerance=-1e-3),
         dict(num_iterations=0),
         dict(max_iterations="many"),
-        dict(precision="fast"),
+        dict(tolerance=1e400),
+        dict(tolerance=float("inf")),
+        dict(tolerance=float("nan")),
+        dict(tolerance="1e400"),
+        dict(tolerance=True),
+        dict(max_iterations=True),
+        dict(max_iterations=2.7),
+        dict(max_iterations=float("inf")),
+        dict(max_iterations="2.7"),
+        dict(max_iterations=[3]),
+        dict(num_iterations=True),
+        dict(num_iterations=2.5),
+        dict(method=["linbp"]),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             QuerySpec(**kwargs)
-
-    def test_unknown_dtype_raises_backend_error(self):
-        with pytest.raises(UnknownBackendError):
-            QuerySpec(dtype="int32")
 
     def test_family_and_echo(self):
         assert QuerySpec(method="linbp").family == "linbp"
@@ -77,18 +80,12 @@ class TestConstruction:
 class TestSolverParams:
     def test_linbp_key_carries_full_budget(self):
         spec = QuerySpec(num_iterations=5)
-        assert spec.solver_params() == (
-            "linbp", "float64", "strict", 100, 1e-10, 5)
+        assert spec.solver_params() == ("linbp", 100, 1e-10, 5)
 
     def test_sbp_key_ignores_iterative_budget(self):
         a = QuerySpec(method="sbp", max_iterations=50)
         b = QuerySpec(method="sbp", max_iterations=200, tolerance=1e-6)
         assert a.solver_params() == b.solver_params()
-
-    def test_sbp_auto_key_keeps_tolerance(self):
-        a = QuerySpec(method="sbp", precision="auto", tolerance=1e-3)
-        b = QuerySpec(method="sbp", precision="auto", tolerance=1e-6)
-        assert a.solver_params() != b.solver_params()
 
     def test_distinct_methods_never_share_keys(self):
         keys = {QuerySpec(method=m).solver_params()
@@ -100,9 +97,8 @@ class TestFromRequest:
     def test_reads_only_spec_fields(self):
         spec = QuerySpec.from_request({
             "op": "query", "graph": "g", "beliefs": [[0, 0, 0.1]],
-            "method": "linbp*", "num_iterations": 4, "dtype": "float32"})
-        assert spec == QuerySpec(method="linbp*", num_iterations=4,
-                                 dtype="float32")
+            "method": "linbp*", "num_iterations": 4, "staleness": 2})
+        assert spec == QuerySpec(method="linbp*", num_iterations=4)
 
     def test_missing_fields_keep_defaults(self):
         assert QuerySpec.from_request({"op": "query"}) == QuerySpec()
@@ -113,6 +109,12 @@ class TestFromRequest:
     def test_malformed_field_raises_validation(self):
         with pytest.raises(ValidationError):
             QuerySpec.from_request({"tolerance": "soon"})
+
+    @pytest.mark.parametrize("field", ["dtype", "precision"])
+    @pytest.mark.parametrize("value", ["float64", "strict", None])
+    def test_retired_fields_rejected_by_name(self, field, value):
+        with pytest.raises(ValidationError, match=repr(field)):
+            QuerySpec.from_request({"method": "linbp", field: value})
 
 
 class TestSpecArgument:

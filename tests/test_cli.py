@@ -206,59 +206,17 @@ class TestSqlInfoCommand:
         assert "available" in out
 
 
-class TestBackendsCommand:
-    def test_reports_every_array_backend(self, capsys):
-        exit_code = main(["backends"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        for name in ("numpy", "cupy", "spmm-inplace", "spmm-numba"):
-            assert name in out
-        assert "float32" in out and "float64" in out
-        # numpy is always usable; optional backends report, never error.
-        assert "available" in out
-
-
-class TestLabelPrecision:
-    def _flags(self, cli_files):
-        graph_path, beliefs_path, coupling_path, _ = cli_files
-        return ["label", "--graph", str(graph_path),
-                "--beliefs", str(beliefs_path),
-                "--coupling", str(coupling_path), "--epsilon", "0.3"]
-
-    @pytest.mark.parametrize("method", ["linbp", "linbp*", "sbp"])
-    def test_float32_labels_match_float64(self, cli_files, capsys, method):
-        base = self._flags(cli_files) + ["--method", method]
-        assert main(base) == 0
-        exact = capsys.readouterr().out
-        assert main(base + ["--dtype", "float32"]) == 0
-        narrow = capsys.readouterr().out
-        # Same hard labels either way on this tiny chain.
-        assert exact.splitlines()[1:] == narrow.splitlines()[1:]
-
-    def test_auto_precision_prints_the_decision(self, cli_files, capsys):
-        flags = self._flags(cli_files)
-        assert main(flags + ["--precision", "auto",
-                             "--tolerance", "1e-3"]) == 0
-        captured = capsys.readouterr()
-        assert "precision:" in captured.err
-        assert "left" in captured.out and "right" in captured.out
-
-    def test_dtype_rejected_for_bp(self, cli_files, capsys):
-        flags = self._flags(cli_files)
-        assert main(flags + ["--method", "bp", "--dtype", "float32"]) == 2
-        assert "no linearized form" in capsys.readouterr().err
-
-    def test_dtype_rejected_with_sql_backend(self, cli_files, capsys):
-        flags = self._flags(cli_files)
-        assert main(flags + ["--backend", "sqlite",
-                             "--dtype", "float32"]) == 2
-        assert "in-memory engine only" in capsys.readouterr().err
-
-    def test_unknown_dtype_rejected_by_parser(self, capsys):
+class TestRetiredFlags:
+    @pytest.mark.parametrize("argv", [
+        ["label", "--graph", "g", "--beliefs", "b", "--coupling", "c",
+         "--dtype", "float64"],
+        ["label", "--graph", "g", "--beliefs", "b", "--coupling", "c",
+         "--precision", "strict"],
+        ["backends"],
+    ])
+    def test_rejected_by_parser(self, capsys, argv):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["label", "--graph", "g", "--beliefs",
-                                       "b", "--coupling", "c",
-                                       "--dtype", "float16"])
+            build_parser().parse_args(argv)
 
 
 class TestServeCommand:
@@ -445,8 +403,7 @@ def _fresh_artifact(tmp_path, **service_overrides):
     path = tmp_path / "tuned.json"
     path.write_text(json.dumps({
         "version": 1, "kind": "repro-serving-config", "service": service,
-        "query": {"dtype": "float64", "precision": "strict",
-                  "tolerance": 1e-8},
+        "query": {"tolerance": 1e-8},
     }))
     return path
 

@@ -44,14 +44,13 @@ def sweep():
         ("window_ms", 5.0, _ok("run-w5", p99=0.011)),
         # max_batch: mild throughput change → importance 0.05.
         ("max_batch", 4, _ok("run-b4", throughput=105.0)),
-        # precision: gated out entirely → importance None.
-        ("precision", "auto",
-         _skipped("run-pa", "dtype: auto precision chooses its own "
-                            "dtype; pin precision='strict' to force "
-                            "float32")),
-        # dtype: one failed, one measured → importance from the survivor.
-        ("dtype", "float32",
-         RunRecord(run_id="run-f32", config={"knob": "f32"},
+        # tolerance: outside the space, skipped → importance None.
+        ("tolerance", 1e-12,
+         _skipped("run-t12", "tolerance: 1e-12 is not a candidate value "
+                             "of 'tolerance'")),
+        # result_cache_size: only a failed variant → importance None.
+        ("result_cache_size", 0,
+         RunRecord(run_id="run-c0", config={"knob": "c0"},
                    status="failed", error="Traceback: boom")),
     ]
     return baseline, runs
@@ -83,14 +82,14 @@ class TestBuildReport:
                       for name, value, _ in report.parameters}
         assert importance["window_ms"] == pytest.approx(1.0)
         assert importance["max_batch"] == pytest.approx(0.05)
-        assert importance["precision"] is None
-        assert importance["dtype"] is None  # only a failed variant
+        assert importance["tolerance"] is None
+        assert importance["result_cache_size"] is None  # only a failure
 
     def test_ranking_measured_first_then_alphabetical(self, sweep):
         baseline, runs = sweep
         report = build_report(baseline, runs)
         assert report.ranking() == [
-            "window_ms", "max_batch", "dtype", "precision"]
+            "window_ms", "max_batch", "result_cache_size", "tolerance"]
 
     def test_skipped_and_failed_rows_are_carried_with_reasons(self, sweep):
         baseline, runs = sweep
@@ -99,11 +98,11 @@ class TestBuildReport:
         rows = {variant["run_id"]: variant
                 for parameter in document["parameters"]
                 for variant in parameter["variants"]}
-        assert rows["run-pa"]["status"] == "skipped"
-        assert "auto precision" in rows["run-pa"]["error"]
-        assert rows["run-pa"]["deltas"] is None
-        assert rows["run-f32"]["status"] == "failed"
-        assert "boom" in rows["run-f32"]["error"]
+        assert rows["run-t12"]["status"] == "skipped"
+        assert "not a candidate value" in rows["run-t12"]["error"]
+        assert rows["run-t12"]["deltas"] is None
+        assert rows["run-c0"]["status"] == "failed"
+        assert "boom" in rows["run-c0"]["error"]
 
     def test_schema_versioned_and_json_serialisable(self, sweep):
         baseline, runs = sweep
@@ -141,5 +140,5 @@ class TestRender:
                      if line.strip() and line.split()[0].isdigit()]
         assert rank_rows[0].split()[1] == "window_ms"
         assert "+100.0%" in text           # the doubled-p99 delta
-        assert "auto precision chooses its own dtype" in text
+        assert "not a candidate value of 'tolerance'" in text
         assert "failed: Traceback: boom" in text

@@ -169,16 +169,16 @@ class TestRunnerIsolation:
         # The runner is still serviceable after a timeout.
         assert runner.run_baseline().ok
 
-    def test_gated_config_is_skipped_not_run(self, workload):
+    def test_config_outside_the_space_is_skipped_not_run(self, workload):
         def measure(workload, config):  # pragma: no cover - must not run
-            raise AssertionError("measured a gated config")
+            raise AssertionError("measured an invalid config")
 
         runner = AblationRunner(workload, measure=measure)
         config = dict(service_config_space().default_config(),
-                      dtype="float32", precision="auto")
+                      tolerance=1e-12)
         record = runner.run_config(config)
         assert record.status == "skipped"
-        assert "auto precision" in record.error
+        assert "not a candidate value of 'tolerance'" in record.error
 
     def test_records_are_memoised_by_run_id(self, workload):
         calls = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -17,7 +16,6 @@ from repro.tune import (
     QUERY_KEYS,
     SERVICE_KEYS,
     AblationRunner,
-    ConfigSpace,
     RunMetrics,
     config_id,
     make_artifact,
@@ -112,19 +110,18 @@ class TestSelectConfig:
         assert below
 
     def test_trace_records_every_evaluation(self, workload):
-        # Start from auto precision, where the float32 pin is gated out.
-        space = ConfigSpace([
-            dataclasses.replace(parameter, default="auto")
-            if parameter.name == "precision" else parameter
-            for parameter in service_config_space()])
-        runner = AblationRunner(workload, space=space,
-                                measure=_window_measure)
+        def measure(workload, config):
+            if config["result_cache_size"] == 0:
+                raise RuntimeError("cache-less run crashed")
+            return _window_measure(workload, config)
+
+        runner = AblationRunner(workload, measure=measure)
         selection = select_config(runner, rounds=1, margin=0.02)
         statuses = {entry["status"] for entry in selection.trace}
-        assert "skipped" in statuses
-        assert all("auto precision" in entry["reason"]
+        assert "failed" in statuses
+        assert all("cache-less run crashed" in entry["reason"]
                    for entry in selection.trace
-                   if entry["status"] == "skipped")
+                   if entry["status"] == "failed")
         accepted = [entry for entry in selection.trace
                     if entry["accepted"]]
         assert accepted and accepted[0]["parameter"] == "window_ms"

@@ -1,4 +1,4 @@
-"""The config-space model: parameters, gates, validation, stable IDs."""
+"""The config-space model: parameters, validation, stable IDs."""
 
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ class TestParameter:
 
     def test_check_rejects_non_candidate_value(self):
         parameter = Parameter("x", "int", (1, 2), 1)
-        reason = parameter.check(9, {"x": 9})
+        reason = parameter.check(9)
         assert "not a candidate value" in reason
-        assert parameter.check(2, {"x": 2}) is None
+        assert parameter.check(2) is None
 
 
 class TestConfigSpace:
@@ -53,20 +53,6 @@ class TestConfigSpace:
                    for r in reasons)
         assert any("missing parameter 'window_ms'" in r for r in reasons)
 
-    def test_one_factor_keeps_inadmissible_changes_with_reasons(self):
-        space = service_config_space()
-        baseline = dict(space.default_config(), precision="auto")
-        # Under auto precision a float32 pin is inadmissible: the change
-        # must still be *returned*, carrying the gate's reason.
-        neighbours = space.one_factor_configs(baseline)
-        pinned = [reason for name, value, _, reason in neighbours
-                  if (name, value) == ("dtype", "float32")]
-        assert len(pinned) == 1
-        assert "auto precision" in pinned[0]
-        admitted = [name for name, _, _, reason in neighbours
-                    if reason is None]
-        assert "dtype" not in admitted and "window_ms" in admitted
-
     def test_service_and_query_keys_cover_the_space(self):
         assert sorted(SERVICE_KEYS + QUERY_KEYS) == \
             sorted(service_config_space().names())
@@ -74,22 +60,11 @@ class TestConfigSpace:
     def test_one_factor_changes_exactly_one_knob(self):
         space = service_config_space()
         baseline = space.default_config()
-        for name, value, config, _ in space.one_factor_configs(baseline):
+        for name, value, config in space.one_factor_configs(baseline):
             changed = {key for key in config
                        if config[key] != baseline[key]}
             assert changed == {name}
             assert config[name] == value
-
-
-class TestGates:
-    def test_float32_requires_strict_precision(self):
-        space = service_config_space()
-        config = dict(space.default_config(), dtype="float32",
-                      precision="auto")
-        reasons = space.validate(config)
-        assert any("auto precision" in r for r in reasons)
-        config["precision"] = "strict"
-        assert space.validate(config) == []
 
 
 class TestConfigId:
@@ -103,7 +78,7 @@ class TestConfigId:
         space = service_config_space()
         baseline = space.default_config()
         seen = {config_id(baseline)}
-        for _, _, config, _ in space.one_factor_configs(baseline):
+        for _, _, config in space.one_factor_configs(baseline):
             run_id = config_id(config)
             assert run_id not in seen, config
             seen.add(run_id)
