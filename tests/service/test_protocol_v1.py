@@ -211,6 +211,37 @@ class TestV1ErrorPaths:
         response, _ = session.handle_line(line[:-1] + ', "tolerance": 1e400}')
         assert json.loads(response)["error"]["code"] == "validation"
 
+    @pytest.mark.parametrize("fragment", [
+        '"max_iterations": true', '"max_iterations": 2.7',
+        '"num_iterations": false', '"num_iterations": 2.5',
+        '"tolerance": Infinity', '"tolerance": NaN', '"tolerance": "1e400"',
+    ])
+    def test_malformed_budget_refused_in_both_versions(self, fragment):
+        session = _session()
+        field = fragment.split('"')[1]
+        request = _line(op="query", graph="g", coupling="h",
+                        beliefs=[[0, 0, 0.9], [0, 1, -0.9]])
+        v1, _ = session.handle_line(
+            request[:-1] + f', "v": 1, {fragment}}}')
+        error = json.loads(v1)["error"]
+        assert error["code"] == "validation"
+        assert field in error["message"]
+        v0, _ = session.handle_line(request[:-1] + f', {fragment}}}')
+        assert v0.startswith("error ") and field in v0
+
+    @pytest.mark.parametrize("field, value", [
+        ("limit", True), ("limit", 2.5), ("limit", "all"),
+        ("staleness", True), ("staleness", 0.5), ("staleness", "soon")])
+    def test_limit_and_staleness_must_be_whole_numbers(self, field, value):
+        body = _query(_session(), **{field: value})
+        assert body["error"]["code"] == "validation"
+        assert field in body["error"]["message"]
+
+    def test_numeric_string_limit_is_accepted(self):
+        body = _query(_session(), limit="1")
+        assert body["ok"] is True
+        assert len(body["labels"]) == 1 and body["truncated"] is True
+
     @pytest.mark.parametrize("field, value", [
         ("dtype", "float32"), ("dtype", "float64"), ("precision", "auto")])
     def test_retired_fields_are_refused_by_name(self, field, value):

@@ -9,6 +9,7 @@ from repro.coupling import synthetic_residual_matrix
 from repro.exceptions import ValidationError
 from repro.graphs import random_graph
 from repro.service import PropagationService, QuerySpec
+from repro.service.spec import whole_number
 
 
 def _workload(num_nodes: int = 30):
@@ -75,6 +76,27 @@ class TestConstruction:
         assert QuerySpec(method="linbp*").family == "linbp"
         assert QuerySpec(method="linbp*").echo is False
         assert QuerySpec(method="sbp").family == "sbp"
+
+
+class TestWholeNumber:
+    """The count parser behind ``max_iterations``, ``num_iterations`` and
+    the wire's ``limit`` and ``staleness``."""
+
+    @pytest.mark.parametrize("value, expected", [
+        (7, 7), (np.int64(7), 7), (7.0, 7), (np.float64(3.0), 3),
+        ("50", 50),
+    ])
+    def test_whole_numbers_accepted(self, value, expected):
+        number = whole_number("count", value)
+        assert number == expected and type(number) is int
+
+    @pytest.mark.parametrize("value", [
+        True, np.bool_(False), 2.7, "2.7", float("inf"), float("nan"),
+        "many", None, [3],
+    ], ids=repr)
+    def test_other_values_refused_naming_the_field(self, value):
+        with pytest.raises(ValidationError, match="count"):
+            whole_number("count", value)
 
 
 class TestSolverParams:
