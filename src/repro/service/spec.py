@@ -41,9 +41,9 @@ METHODS: Dict[str, Tuple[str, bool]] = {
     "sbp": ("sbp", True),
 }
 
-#: Request fields that once chose a kernel element width.  A request that
-#: still carries one is refused rather than answered in float64 with the
-#: field ignored.
+#: Request fields refused by name: every query runs in float64, and
+#: answering with such a field ignored would drop the client's flag
+#: silently.
 RETIRED_FIELDS = ("dtype", "precision")
 
 
@@ -110,7 +110,7 @@ class QuerySpec:
                 f"tolerance must be a number, got {self.tolerance!r}")
         try:
             tolerance = float(self.tolerance)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise ValidationError(f"malformed QuerySpec field: {error}")
         if max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")

@@ -11,7 +11,9 @@ silently coerced answer.
 The property is derandomized and its example count bounded, so every
 run replays the same examples in about the same time.  Integers are
 kept small and digit-free strings are drawn, so a pinned
-``num_iterations`` stays cheap on the 12-node graph.
+``num_iterations`` stays cheap on the 12-node graph; integers past float
+range go only to the fields where such a value is refused or harmless,
+never to a sweep budget, which would be run.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ json_values = st.recursive(
     max_leaves=5)
 
 
+#: Malformed values per field.
+HUGE = st.sampled_from([10**400, -10**400])
+MALFORMED = {name: json_values for name in FIELDS}
+MALFORMED.update({name: st.one_of(json_values, HUGE)
+                  for name in ("method", "tolerance", "staleness", "limit")})
+
 #: Well-formed values per field, drawn three times in four so that a
 #: good share of the requests is answered ``ok``.
 VALID = {
@@ -72,7 +80,7 @@ def query_requests(draw):
                "beliefs": BELIEFS, "return_beliefs": draw(st.booleans())}
     for name in sorted(draw(st.sets(st.sampled_from(FIELDS)))):
         well_formed = draw(st.sampled_from([True, True, True, False]))
-        request[name] = draw(VALID[name] if well_formed else json_values)
+        request[name] = draw(VALID[name] if well_formed else MALFORMED[name])
     for name in RETIRED_FIELDS:
         if draw(st.sampled_from([False, False, False, False, True])):
             request[name] = draw(json_values)

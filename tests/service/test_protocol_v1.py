@@ -210,6 +210,11 @@ class TestV1ErrorPaths:
                      beliefs=[[0, 0, 0.9], [0, 1, -0.9]])
         response, _ = session.handle_line(line[:-1] + ', "tolerance": 1e400}')
         assert json.loads(response)["error"]["code"] == "validation"
+        # An integer literal past float range parses to an int that
+        # float() cannot convert.
+        response, _ = session.handle_line(
+            line[:-1] + ', "tolerance": 1' + "0" * 400 + "}")
+        assert json.loads(response)["error"]["code"] == "validation"
 
     @pytest.mark.parametrize("fragment", [
         '"max_iterations": true', '"max_iterations": 2.7',

@@ -65,6 +65,7 @@ class TestConstruction:
         dict(num_iterations=True),
         dict(num_iterations=2.5),
         dict(method=["linbp"]),
+        dict(tolerance=10**400),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
