@@ -86,26 +86,43 @@ class PairedTimes:
         return f"pair ratios {ratios}; median {self.median:.2f}"
 
 
-def time_pairs(baseline: Callable[[], object], candidate: Callable[[], object],
-               pairs: int = 10, repetitions: int = 1) -> PairedTimes:
-    """Time two arms in interleaved pairs, the first arm alternating.
+def sample_pairs(baseline: Callable[[], float],
+                 candidate: Callable[[], float],
+                 pairs: int = 10) -> PairedTimes:
+    """Interleaved pairs of two arms that time themselves.
 
-    Each sample runs its arm ``repetitions`` times back to back.  Both
-    samples of a pair run under near-identical machine state, and the arm
-    that goes first alternates, so host drift between pairs cannot open or
-    close the gap the way it can between two blocks of samples.  A true
-    speedup bounds every pair ratio from below, so ratio gates read the
-    best pair.
+    Each call of an arm returns the seconds it measured, so an arm can
+    keep its set-up (opening a database, building the state an update
+    repairs) out of its sample.  The arm that goes first alternates, so
+    both samples of a pair run under near-identical machine state and
+    host drift between pairs cannot open or close the gap the way it
+    can between two blocks of samples.
     """
     arms = (baseline, candidate)
     samples: tuple = ([], [])
     for index in range(pairs):
         for arm in ((0, 1) if index % 2 == 0 else (1, 0)):
+            samples[arm].append(arms[arm]())
+    return PairedTimes(baseline=samples[0], candidate=samples[1])
+
+
+def time_pairs(baseline: Callable[[], object], candidate: Callable[[], object],
+               pairs: int = 10, repetitions: int = 1) -> PairedTimes:
+    """Time two arms in interleaved pairs (:func:`sample_pairs`).
+
+    Each sample runs its arm ``repetitions`` times back to back.  A true
+    speedup bounds every pair ratio from below, so speedup gates read
+    the best pair.
+    """
+    def timed(arm: Callable[[], object]) -> Callable[[], float]:
+        def sample() -> float:
             start = time.perf_counter()
             for _ in range(repetitions):
-                arms[arm]()
-            samples[arm].append(time.perf_counter() - start)
-    return PairedTimes(baseline=samples[0], candidate=samples[1])
+                arm()
+            return time.perf_counter() - start
+        return sample
+
+    return sample_pairs(timed(baseline), timed(candidate), pairs)
 
 
 def repeated(function: Callable[[], object],

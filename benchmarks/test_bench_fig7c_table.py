@@ -3,23 +3,46 @@
 Runs every implementation (memory BP/LinBP, relational LinBP/SBP/ΔSBP) on the
 same workloads and prints the combined table with the ratio columns the paper
 reports (BP/LinBP, LinBP/SBP, SBP/ΔSBP).
+
+The table times each run once.  On graph #1 LinBP takes about 1 ms
+against about 3 ms for BP, so one preemption can invert a single
+sample; the ordering gates therefore time each ratio's two runs in
+interleaved rounds (:func:`benchmarks.conftest.sample_pairs`) and read
+the median round.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import attach_table
-from repro.experiments import run_timing_table
+from benchmarks.conftest import attach_table, sample_pairs
+from repro.experiments import run_timing_table, timing_arms
+
+#: Interleaved rounds per graph of the millisecond-scale BP and LinBP
+#: runs, and of the relational runs (15 ms to 1 s each, 3-4x apart, so
+#: fewer rounds keep the gate affordable); the gates read the median.
+MEMORY_PAIRS = 7
+SQL_PAIRS = 3
 
 
-def test_fig7c_combined_timing_table(benchmark, bench_max_index):
+def test_fig7c_combined_timing_table(benchmark, bench_max_index,
+                                     synthetic_workloads):
     max_index = min(bench_max_index, 3)
     table = benchmark.pedantic(run_timing_table,
                                kwargs={"max_index": max_index, "include_bp": True},
                                rounds=1, iterations=1)
     attach_table(benchmark, table)
-    for row in table.rows:
+    for workload in synthetic_workloads[:max_index]:
+        arms = timing_arms(workload)
         # The paper's qualitative ordering on every graph:
         # message-passing BP is slower than vectorised LinBP, and the
         # single-pass relational SBP beats iterated relational LinBP.
-        assert row["bp_over_linbp"] > 1.0
-        assert row["linbp_sql_over_sbp"] > 1.0
+        bp_over_linbp = sample_pairs(arms["bp"], arms["linbp"],
+                                     MEMORY_PAIRS)
+        assert bp_over_linbp.median > 1.0, (
+            f"BP not slower than LinBP on graph #{workload.index} in the "
+            f"median of {MEMORY_PAIRS} rounds; {bp_over_linbp.describe()}")
+        sql_over_sbp = sample_pairs(arms["linbp_sql"], arms["sbp_sql"],
+                                    SQL_PAIRS)
+        assert sql_over_sbp.median > 1.0, (
+            f"relational LinBP not slower than relational SBP on graph "
+            f"#{workload.index} in the median of {SQL_PAIRS} rounds; "
+            f"{sql_over_sbp.describe()}")

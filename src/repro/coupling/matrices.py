@@ -18,6 +18,7 @@ spectral radii, and norms on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -121,8 +122,10 @@ class CouplingMatrix:
                 "(is the source matrix doubly stochastic?)")
         if not np.allclose(residual.sum(axis=1), 0.0, atol=1e-8):
             raise ValidationError("residual coupling matrix rows must sum to zero")
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon (the coupling scale) must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValidationError(
+                f"epsilon (the coupling scale) must be positive and finite, "
+                f"got {self.epsilon!r}")
         if self.class_names is not None and len(self.class_names) != residual.shape[0]:
             raise ValidationError(
                 f"expected {residual.shape[0]} class names, got {len(self.class_names)}")

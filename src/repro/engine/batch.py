@@ -24,25 +24,28 @@ Two solvers reach the same fixed point ``B̂ = Ê + A·B̂·Ĥ − D·B̂·Ĥ²`
 * **Conjugate gradients on Proposition 7's system** ``L(B) = B − A·B·Ĥ
   + D·B·Ĥ² = Ê``.  ``L`` is symmetric (``A``, ``D`` and ``Ĥ`` are), and
   positive definite when ``ρ < 1``, so CG applies and needs about
-  ``√κ`` steps, ``κ = (1+ρ)/(1−ρ)``.  Each query stops on a certified
-  bound: its true residual ``‖Ê − L(B)‖_F``, recomputed from the
-  iterate, over ``1 − ρ̄`` (``ρ̄ ≥ ρ``, so ``‖L⁻¹‖₂ ≤ 1/(1 − ρ̄)``)
-  bounds its largest belief error, and must fall below ``tolerance``.
-
-:func:`run_batch` picks one solver per batch from the plan
-(:func:`solver_radius`): CG only where a certified ``ρ̄`` is at least
-:data:`CG_MIN_RADIUS` and below one, and only for an exactly symmetric
-``Ĥ`` and no pinned ``num_iterations``.
+  ``√κ`` steps, ``κ = (1+ρ)/(1−ρ)``.  In ``Ĥ``'s eigenbasis ``Ĥ = QΛQᵀ``
+  the system splits into ``k`` independent ``n x n`` systems ``M_c =
+  I − λ_c·A + λ_c²·D`` (:meth:`~repro.engine.plan.PropagationPlan
+  .eigenbasis`), one per class of ``C = B·Q``; each (query, class) runs
+  its own CG on contiguous ``n``-vectors, one SpMV per step, and stops
+  on its own.  The classes converge at very different speeds (a small
+  ``|λ_c|`` needs few steps, and the ``λ = 0`` class of a centered ``Ê``
+  none).  Each query stops on a certified bound: its true residual
+  ``‖Ê − L(B)‖_F``, recomputed from the iterate rotated back to ``B``,
+  over ``1 − ρ̄`` (``ρ̄ ≥ ρ``, so ``‖L⁻¹‖₂ ≤ 1/(1 − ρ̄)``) bounds its
+  largest belief error, and must fall below ``tolerance``.
 
 :class:`BatchWorkspace` owns the preallocated buffers and performs one
 Jacobi step, or one application of ``L``, with zero per-iteration
-allocation of ``n x (q·k)`` blocks; :func:`run_batch` drives it to
-convergence and unpacks one :class:`~repro.core.results.PropagationResult`
-per query.
+allocation of ``n x (q·k)`` blocks, and holds the ``(q, k, n)`` blocks of
+a CG solve; :func:`run_batch` drives it to convergence and unpacks one
+:class:`~repro.core.results.PropagationResult` per query.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -63,16 +66,16 @@ SWEEPS = counter("repro_engine_sweeps_total",
 
 #: Certified Lemma 8 radius ``ρ̄`` from which CG answers instead of Jacobi
 #: sweeps.  Jacobi needs about ``ln(tol)/ln ρ`` sweeps; CG needs fewer
-#: steps, but each costs more (three more block updates and two per-query
-#: dot products around the same operator) and its stop costs one more
-#: application.  Measured in-process on one query on a 2-CPU host, a
-#: Jacobi sweep of ``run_batch`` cost 111 µs and a CG step 181 µs on
-#: Kronecker #3 (n = 2,187).  At ``ρ = 0.435`` Jacobi took 20 sweeps
-#: (3.77 ms) and CG 14 steps (3.83 ms); at ``ρ = 0.537``, 27 sweeps
-#: (4.89 ms) against 16 steps (4.39 ms).  On #4 (n = 6,561) the two met
-#: near ``ρ = 0.35``.  Below this radius Jacobi is as cheap or cheaper,
-#: and the plan's ∞-norm bound (one pass over ``A``) usually decides that
-#: without an eigensolve.
+#: steps, and its stop costs one more application of ``L``.  A sweep runs
+#: one SpMM over the whole batch, a CG step one SpMV per running (query,
+#: class), so the crossover depends on the batch width.  Measured
+#: in-process on a 2-CPU host: one query meets Jacobi near ``ρ = 0.17``
+#: on Kronecker #3 (n = 2,187) and #4 (n = 6,561) and runs 1.5x faster
+#: at ``ρ = 0.43``; a batch of 16, the coalescer's largest, meets it near
+#: ``ρ = 0.3`` on #3 and ``0.25`` on #4 and runs 1.2-1.35x faster at
+#: ``0.43``.  From this radius CG is at least as fast at every width,
+#: and the plan's ∞-norm bound (one pass over ``A``) usually decides a
+#: plan below it without an eigensolve.
 CG_MIN_RADIUS = 0.4
 
 
@@ -101,12 +104,14 @@ class BatchWorkspace:
     """Preallocated buffers for propagating a ``q``-query batch on one plan.
 
     All working memory — the stacked explicit block, the ping-pong belief
-    buffers and one scratch block — is allocated once in the constructor;
-    :meth:`step` then performs one full LinBP update of every query with
-    in-place kernel writes only.  The two further blocks a CG solve needs
-    (search directions and their images under ``L``) are allocated on the
-    first CG solve and kept.  Workspaces are reusable: call :meth:`load`
-    again to start a new batch of the same width.
+    buffers, one scratch block and the degree vector tiled to the block's
+    width — is allocated once in the constructor; :meth:`step` then
+    performs one full LinBP update of every query with in-place kernel
+    writes only.  A CG solve works in ``Ĥ``'s eigenbasis on ``(q, k, n)``
+    blocks: its iterate lives in the Jacobi back buffer, and the residual,
+    search direction and its image are allocated on the first CG solve
+    and kept.  Workspaces are reusable: call :meth:`load` again to start
+    a new batch of the same width.
     """
 
     def __init__(self, plan: PropagationPlan, num_queries: int):
@@ -123,9 +128,10 @@ class BatchWorkspace:
         self._front = np.zeros(shape)
         self._back = np.empty(shape)
         self._scratch = np.empty(shape)
-        self._direction: Optional[np.ndarray] = None
-        self._image: Optional[np.ndarray] = None
+        self._degree_block = kernels.tile_rows(plan.degrees, shape[1]) \
+            if plan.echo_cancellation else None
         self._negated_residual = -plan.residual
+        self._eigen_blocks: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # loading and reading query blocks
@@ -186,7 +192,8 @@ class BatchWorkspace:
         if plan.echo_cancellation:
             kernels.block_matmul(self._front, plan.residual_squared,
                                  out=self._scratch, num_classes=k)
-            kernels.scale_rows(plan.degrees, self._scratch, out=self._scratch)
+            kernels.scale_rows(self._degree_block, self._scratch,
+                               out=self._scratch)
             np.subtract(self._back, self._scratch, out=self._back)
         changes = kernels.max_abs_change_per_query(
             self._back, self._front, self._scratch, num_classes=k) \
@@ -209,7 +216,7 @@ class BatchWorkspace:
         if plan.echo_cancellation:
             kernels.block_matmul(block, plan.residual_squared, out=out,
                                  num_classes=k)
-            kernels.scale_rows(plan.degrees, out, out=out)
+            kernels.scale_rows(self._degree_block, out, out=out)
             np.add(out, block, out=out)
         else:
             np.copyto(out, block)
@@ -218,31 +225,46 @@ class BatchWorkspace:
         kernels.spmm(plan.adjacency, self._scratch, out=out, accumulate=True)
         return out
 
-    def _cg_buffers(self):
-        if self._direction is None:
-            self._direction = np.empty_like(self._front)
-            self._image = np.empty_like(self._front)
-        return self._direction, self._image
+    def _eigen_buffers(self) -> tuple:
+        """The CG blocks ``(iterate, residual, direction, image)``, each
+        ``(q, k, n)``, plus an ``n``-vector scratch.
 
-    def _per_query(self, values: np.ndarray):
-        """Per-query scalars as a multiplier of an ``n x (q·k)`` block.
-
-        One query gets a plain scalar; a batch gets each value repeated
-        over its query's ``k`` columns.  Either way every element is one
-        correctly rounded product, so the choice does not change a bit.
+        Query ``j``'s class ``c`` is the contiguous row ``[j, c]`` of each
+        block, so every per-class product and reduction runs on an
+        ``n``-vector, whatever the batch.  The iterate is the back buffer
+        seen as ``(q, k, n)``: CG never sweeps, and it recomputes true
+        residuals into the image block, which every step overwrites.
         """
-        if self.num_queries == 1:
-            return float(values[0])
-        return np.repeat(values, self.plan.num_classes)
+        n, k = self.plan.num_nodes, self.plan.num_classes
+        shape = (self.num_queries, k, n)
+        if self._eigen_blocks is None:
+            self._eigen_blocks = tuple(np.empty(shape) for _ in range(3)) \
+                + (np.empty(n),)
+        # Sweeps swap the ping-pong buffers, so the view is taken anew.
+        return (self._back.reshape(shape),) + self._eigen_blocks
 
-    def _scaled_update(self, factors, block: np.ndarray, target: np.ndarray,
-                       subtract: bool = False) -> None:
-        """``target_j ±= factors_j · block_j`` for every query ``j``."""
-        np.multiply(block, factors, out=self._scratch)
-        if subtract:
-            np.subtract(target, self._scratch, out=target)
-        else:
-            np.add(target, self._scratch, out=target)
+    def _rotate(self, block: np.ndarray, query: int, vectors_t: np.ndarray,
+                out: np.ndarray) -> None:
+        """``out <- (block_j·Q)ᵀ``: one query's ``n x k`` block of an
+        ``n x (q·k)`` buffer, in ``Ĥ``'s eigenbasis, as ``k`` rows."""
+        columns = self._class_rows()
+        k = self.plan.num_classes
+        np.copyto(columns, block[:, query * k:(query + 1) * k].T)
+        np.matmul(vectors_t, columns, out=out)
+
+    def _unrotate(self, rotated: np.ndarray, query: int,
+                  vectors: np.ndarray) -> None:
+        """Front block of one query ``<- C·Qᵀ``, from its ``k`` rows ``C``."""
+        columns = self._class_rows()
+        k = self.plan.num_classes
+        np.matmul(vectors, rotated, out=columns)
+        self._front[:, query * k:(query + 1) * k] = columns.T
+
+    def _class_rows(self) -> np.ndarray:
+        """A ``k x n`` view of the scratch block, free outside
+        :meth:`step` and :meth:`apply_system`."""
+        k, n = self.plan.num_classes, self.plan.num_nodes
+        return self._scratch.reshape(-1)[:k * n].reshape(k, n)
 
     def _true_residual(self, out: np.ndarray) -> np.ndarray:
         """``out <- Ê − L(B)`` for every query; returns ``‖·‖_F²`` per query."""
@@ -296,88 +318,135 @@ def _run_jacobi(workspace: BatchWorkspace, trace: _Trace, budget: int,
 
 def _run_cg(workspace: BatchWorkspace, trace: _Trace, budget: int,
             tolerance: float, radius: float, warm: bool) -> None:
-    """Conjugate gradients on ``L(B) = Ê`` with a certified stop per query.
+    """Conjugate gradients on ``L(B) = Ê``, one eigen-class at a time.
 
-    The recurrence residual ``r`` only nominates a query: when
-    ``‖r‖_F/(1 − ρ̄)`` falls below ``tolerance``, the true residual is
-    recomputed from the iterate (one batched application of ``L``), and
-    the query converges only if *that* bound holds.  Otherwise its
-    residual is replaced by the true one and its search direction
-    restarted.  Every per-query scalar comes from
-    :func:`kernels.dot_per_query`, so a query's trajectory does not
-    depend on the batch around it.
+    In ``Ĥ``'s eigenbasis (:meth:`PropagationPlan.eigenbasis`) the system
+    splits into ``k`` systems ``M_c·c = r_c`` per query; each (query,
+    class) runs its own CG on contiguous ``n``-vectors, with its own step
+    sizes, until its recurrence residual is below ``τ/√k``, ``τ =
+    tolerance·(1 − ρ̄)``: then ``Σ_c‖r_c‖² < τ²``.  That only nominates
+    the query.  Its beliefs are rotated back (``B = C·Qᵀ``), the true
+    residual is recomputed from them (one batched application of ``L``),
+    and the query converges only if *that* bound holds.  Otherwise the
+    rotated true residual restarts every class of that query whose
+    residual is not zero — even one below ``τ/√k``, so that the query
+    steps again when rounding put every class under it.  Every reduction
+    sums ``n`` elements of one (query, class) in an order fixed by ``n``,
+    so a query's trajectory does not depend on the batch around it.
     """
-    q, k = workspace.num_queries, workspace.plan.num_classes
+    plan = workspace.plan
+    q, k = workspace.num_queries, plan.num_classes
+    vectors, systems = plan.eigenbasis()
+    vectors_t = np.ascontiguousarray(vectors.T)
+    solution, residual, direction, image, scratch = \
+        workspace._eigen_buffers()
+    # True residuals land in the image block, in the n x (q·k) layout.
+    true_residual = image.reshape(workspace._back.shape)
     inverse_gap = 1.0 / (1.0 - radius)
-    solution, residual = workspace._front, workspace._back
-    direction, image = workspace._cg_buffers()
+    class_tolerance = tolerance * (1.0 - radius) / math.sqrt(k)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    total, spmv = np.add.reduce, kernels.spmv
+    # Per (query, class): ‖r‖² and whether it still steps.
+    squares = [[0.0] * k for _ in range(q)]
+    running = [[False] * k for _ in range(q)]
 
-    def certify(candidates: np.ndarray) -> np.ndarray:
-        """True-residual bounds; converge the candidates that hold."""
+    def restart(query: int, floor: float) -> None:
+        """Direction <- residual for every class of a query; run the
+        classes whose residual norm is above ``floor``."""
+        np.copyto(direction[query], residual[query])
+        for klass in range(k):
+            multiply(residual[query, klass], residual[query, klass],
+                     out=scratch)
+            squares[query][klass] = float(total(scratch))
+            running[query][klass] = math.sqrt(squares[query][klass]) > floor
+
+    def certify(queries, again: bool) -> None:
+        """True-residual bounds; converge the queries that hold, and
+        restart the others' classes when ``again``."""
+        for query in queries:
+            workspace._unrotate(solution[query], query, vectors)
         with span("engine.certify", engine="batch", queries=q):
-            squares = workspace._true_residual(image)
-        bounds = np.sqrt(squares) * inverse_gap
-        for query in np.nonzero(candidates)[0]:
+            true_squares = workspace._true_residual(true_residual)
+        bounds = np.sqrt(true_squares) * inverse_gap
+        for query in queries:
             trace.error_bounds[query] = bounds[query]
             if trace.histories[query]:
                 trace.histories[query][-1] = float(bounds[query])
             if bounds[query] < tolerance:
                 trace.converged[query] = True
-                trace.pending_freeze.append(query)
-        return squares
+            elif again:
+                workspace._rotate(true_residual, query, vectors_t,
+                                  residual[query])
+                restart(query, 0.0)
 
     if warm:
         with span("engine.certify", engine="batch", queries=q):
-            squares = workspace._true_residual(residual)
+            start = workspace._true_residual(true_residual)
+        start_block = true_residual
     else:
-        np.copyto(residual, workspace._explicit)
-        squares = kernels.dot_per_query(residual, residual, k)
+        start = kernels.dot_per_query(workspace._explicit,
+                                      workspace._explicit, k)
+        start_block = workspace._explicit
     # r⁰ is a true residual: a query already within tolerance needs no step.
-    bounds = np.sqrt(squares) * inverse_gap
-    trace.error_bounds = bounds
-    trace.converged[:] = bounds < tolerance
-    trace.pending_freeze.extend(np.nonzero(trace.converged)[0])
-    np.copyto(direction, residual)
-    active = ~trace.converged
+    trace.error_bounds = np.sqrt(start) * inverse_gap
+    trace.converged[:] = trace.error_bounds < tolerance
+    for query in np.nonzero(~trace.converged)[0]:
+        workspace._rotate(start_block, query, vectors_t, residual[query])
+        if warm:
+            workspace._rotate(workspace._front, query, vectors_t,
+                              solution[query])
+        else:
+            solution[query].fill(0.0)
+        restart(query, class_tolerance)
     for _ in range(budget):
-        if not active.any():
+        nominated = [query for query in range(q)
+                     if not trace.converged[query] and not any(running[query])]
+        if nominated:
+            certify(nominated, again=True)
+        stepping = [query for query in range(q) if any(running[query])]
+        if not stepping:
             break
-        trace.freeze_pending(workspace)
         with span("engine.sweep", engine="batch", queries=q,
                   solver="cg") as sweep:
-            workspace.apply_system(direction, out=image)
-            curvature = kernels.dot_per_query(direction, image, k)
-            step = workspace._per_query(np.divide(
-                squares, curvature, out=np.zeros(q), where=active))
-            workspace._scaled_update(step, direction, solution)
-            workspace._scaled_update(step, image, residual, subtract=True)
-            new_squares = kernels.dot_per_query(residual, residual, k)
-            bounds = np.sqrt(new_squares) * inverse_gap
-            sweep.set_tag("residual", float(bounds.max()))
+            for query in stepping:
+                for klass in range(k):
+                    if not running[query][klass]:
+                        continue
+                    x, r = solution[query, klass], residual[query, klass]
+                    p, image_p = direction[query, klass], image[query, klass]
+                    spmv(systems[klass], p, out=image_p)
+                    multiply(p, image_p, out=scratch)
+                    curvature = float(total(scratch))
+                    if not curvature > 0.0:
+                        # Underflow, or a radius bound below the true ρ:
+                        # no step; certification decides the query.
+                        running[query][klass] = False
+                        continue
+                    old = squares[query][klass]
+                    step = old / curvature
+                    multiply(p, step, out=scratch)
+                    add(x, scratch, out=x)
+                    multiply(image_p, step, out=scratch)
+                    subtract(r, scratch, out=r)
+                    multiply(r, r, out=scratch)
+                    new = float(total(scratch))
+                    squares[query][klass] = new
+                    if math.sqrt(new) < class_tolerance:
+                        running[query][klass] = False
+                    else:
+                        multiply(p, new / old, out=p)
+                        add(p, r, out=p)
+            bounds = [math.sqrt(sum(squares[query])) * inverse_gap
+                      for query in stepping]
+            sweep.set_tag("residual", max(bounds))
         trace.sweeps += 1
-        for query in np.nonzero(active)[0]:
+        for query, bound in zip(stepping, bounds):
             trace.iterations[query] += 1
-            trace.histories[query].append(float(bounds[query]))
-        candidates = active & (bounds < tolerance)
-        keep = active
-        if candidates.any():
-            true_squares = certify(candidates)
-            restart = candidates & ~trace.converged
-            for query in np.nonzero(restart)[0]:
-                columns = slice(query * k, (query + 1) * k)
-                residual[:, columns] = image[:, columns]
-                new_squares[query] = true_squares[query]
-            active = ~trace.converged
-            keep = active & ~restart
-        # Converged and restarted queries take a plain residual direction.
-        momentum = workspace._per_query(np.divide(
-            new_squares, squares, out=np.zeros(q), where=keep))
-        np.multiply(direction, momentum, out=direction)
-        np.add(direction, residual, out=direction)
-        squares = new_squares
-    if active.any():
-        # Budget spent: report the certified bound of the final iterate.
-        certify(active)
+            trace.histories[query].append(bound)
+    unfinished = np.nonzero(~trace.converged)[0].tolist()
+    if unfinished:
+        # Nominated at the last step, or out of budget: certify the iterate.
+        certify(unfinished, again=False)
 
 
 def run_batch(plan: PropagationPlan, explicit_list: Sequence[np.ndarray],
@@ -399,10 +468,11 @@ def run_batch(plan: PropagationPlan, explicit_list: Sequence[np.ndarray],
       ``ρ̄`` in ``[CG_MIN_RADIUS, 1)``.  Each query stops once its
       true-residual bound ``‖Ê − L(B)‖_F/(1 − ρ̄)`` — an upper bound on
       its largest belief error — is below ``tolerance``;
-      ``iterations`` counts its CG steps, ``residual_history`` holds the
-      bound after each step (the last entry recomputed from the
-      iterate), and ``extra`` carries ``error_bound`` and
-      ``radius_bound`` (``ρ̄``).
+      ``iterations`` counts the batched CG steps in which at least one
+      of its classes still stepped, ``residual_history`` holds
+      ``√(Σ_c‖r_c‖²)/(1 − ρ̄)`` after each of them (the last entry
+      recomputed from the iterate), and ``extra`` carries
+      ``error_bound`` and ``radius_bound`` (``ρ̄``).
     * **Jacobi** (``"jacobi"``) otherwise, and always when
       ``num_iterations`` pins an exact sweep count: each query stops (is
       frozen) as soon as its own maximum belief change drops below

@@ -2,24 +2,27 @@
 
 The LinBP update (Eq. 6) is three products — one sparse-times-dense
 (``A @ B``), two small dense GEMMs (``· @ Ĥ`` and ``· @ Ĥ²``) — plus
-element-wise combines.  Run naively, every iteration allocates a fresh
-``n x k`` array per product; at high query rates the allocator, not the
-FPU, becomes the bottleneck.  The kernels here write every product into a
-caller-provided output buffer so a whole propagation runs on a fixed set
-of preallocated arrays (see :class:`repro.engine.batch.BatchWorkspace`).
+element-wise combines; conjugate gradients in ``Ĥ``'s eigenbasis need one
+sparse-times-vector product per class instead (:func:`spmv`).  Run
+naively, every iteration allocates a fresh ``n x k`` array per product;
+at high query rates the allocator, not the FPU, becomes the bottleneck.
+The kernels here write every product into a caller-provided output
+buffer so a whole propagation runs on a fixed set of preallocated arrays
+(see :class:`repro.engine.batch.BatchWorkspace`).
 
-The sparse product has two tiers, tried in order:
+The sparse products have two tiers, tried in order:
 
-1. ``scipy.sparse._sparsetools.csr_matvecs`` (the C++ routine behind
-   ``csr_matrix.__matmul__``), which accumulates ``Y += A @ X`` into an
-   existing row-major buffer.  Because the symbol is private, its
-   availability is probed once at import time (:data:`HAVE_INPLACE_SPMM`).
-2. The allocating ``A @ X``, should a scipy release move that symbol.
+1. ``scipy.sparse._sparsetools.csr_matvecs`` and ``csr_matvec`` (the C++
+   routines behind ``csr_matrix.__matmul__``), which accumulate
+   ``Y += A @ X`` into an existing row-major buffer.  Because the symbols
+   are private, their availability is probed once at import time
+   (:data:`HAVE_INPLACE_SPMM`).
+2. The allocating ``A @ X``, should a scipy release move them.
 
-Every kernel runs in its operands' own dtype, and :func:`spmm` requires
-them to agree — enforced with a clear error, because the allocating
-``csr @ dense`` path would otherwise *silently upcast* on a mismatch and
-scribble the wider result into a narrower buffer.
+Every kernel runs in its operands' own dtype, and :func:`spmm` and
+:func:`spmv` require them to agree — enforced with a clear error, because
+the allocating ``csr @ dense`` path would otherwise *silently upcast* on
+a mismatch and scribble the wider result into a narrower buffer.
 """
 
 from __future__ import annotations
@@ -29,20 +32,22 @@ import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 
-__all__ = ["HAVE_INPLACE_SPMM", "spmm", "block_matmul", "scale_rows",
-           "max_abs_change_per_query", "dot_per_query"]
+__all__ = ["HAVE_INPLACE_SPMM", "spmm", "spmv", "block_matmul",
+           "tile_rows", "scale_rows", "max_abs_change_per_query",
+           "dot_per_query"]
 
 try:  # pragma: no cover - import probing
     from scipy.sparse import _sparsetools as _tools
     _csr_matvecs = getattr(_tools, "csr_matvecs", None)
+    _csr_matvec = getattr(_tools, "csr_matvec", None)
 except ImportError:  # pragma: no cover - very old/new scipy layouts
-    _csr_matvecs = None
+    _csr_matvecs = _csr_matvec = None
 
-#: True when the zero-allocation CSR SpMM path is available.
-HAVE_INPLACE_SPMM = _csr_matvecs is not None
+#: True when the zero-allocation CSR SpMM and SpMV paths are available.
+HAVE_INPLACE_SPMM = _csr_matvecs is not None and _csr_matvec is not None
 
 
-def _check_spmm_dtypes(csr, dense, out) -> None:
+def _check_dtypes(kernel: str, csr, dense, out) -> None:
     """Reject dtype disagreement before any product runs.
 
     The compiled in-place routine is dtype-templated (mixing operand
@@ -52,8 +57,8 @@ def _check_spmm_dtypes(csr, dense, out) -> None:
     """
     if not (csr.dtype == dense.dtype == out.dtype):
         raise ValidationError(
-            f"spmm dtype mismatch: adjacency is {csr.dtype}, dense block "
-            f"is {dense.dtype}, out buffer is {out.dtype}")
+            f"{kernel} dtype mismatch: sparse matrix is {csr.dtype}, dense "
+            f"operand is {dense.dtype}, out buffer is {out.dtype}")
 
 
 def spmm(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
@@ -68,7 +73,7 @@ def spmm(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
     accumulating by nature; the non-accumulating form just zeroes first).
     Returns ``out`` for chaining.
     """
-    _check_spmm_dtypes(csr, dense, out)
+    _check_dtypes("spmm", csr, dense, out)
     if HAVE_INPLACE_SPMM and out.flags.c_contiguous \
             and dense.flags.c_contiguous:
         if not accumulate:
@@ -81,6 +86,31 @@ def spmm(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
         out += csr @ dense
     else:
         out[...] = csr @ dense
+    return out
+
+
+def spmv(csr: sp.csr_matrix, vector: np.ndarray, out: np.ndarray,
+         accumulate: bool = False) -> np.ndarray:
+    """``out <- csr @ vector`` (or ``out += ...``) into the preallocated vector.
+
+    The one-column form of :func:`spmm`, with the same dtype guard and
+    fallback: ``vector`` and ``out`` are contiguous 1-D arrays.  scipy's
+    ``csr_matvec`` sums each row over its stored entries in index order,
+    so an output element depends on the matrix and ``vector`` alone.
+    Returns ``out``.
+    """
+    _check_dtypes("spmv", csr, vector, out)
+    if HAVE_INPLACE_SPMM and out.flags.c_contiguous \
+            and vector.flags.c_contiguous:
+        if not accumulate:
+            out.fill(0.0)
+        _csr_matvec(csr.shape[0], csr.shape[1], csr.indptr, csr.indices,
+                    csr.data, vector, out)
+        return out
+    if accumulate:
+        out += csr @ vector
+    else:
+        out[...] = csr @ vector
     return out
 
 
@@ -100,10 +130,22 @@ def block_matmul(block: np.ndarray, small: np.ndarray, out: np.ndarray,
     return out
 
 
-def scale_rows(factors: np.ndarray, block: np.ndarray,
+def tile_rows(factors: np.ndarray, width: int) -> np.ndarray:
+    """``factors`` repeated across ``width`` columns, for :func:`scale_rows`."""
+    return np.repeat(factors, width).reshape(factors.shape[0], width)
+
+
+def scale_rows(tiled: np.ndarray, block: np.ndarray,
                out: np.ndarray) -> np.ndarray:
-    """``out <- diag(factors) @ block`` (row scaling) without allocation."""
-    np.multiply(factors[:, None], block, out=out)
+    """``out <- diag(factors) @ block`` (row scaling) without allocation.
+
+    ``tiled`` is ``tile_rows(factors, width)`` for the block's width, built
+    once per workspace: one contiguous multiply then scales the block,
+    where broadcasting ``factors[:, None]`` runs numpy's inner loop over
+    one row of ``k`` elements at a time.  Every element is the same single
+    product either way.
+    """
+    np.multiply(tiled, block, out=out)
     return out
 
 

@@ -110,6 +110,8 @@ class PropagationPlan:
                                self.residual_squared.T))
         self._update_spectral_radius: Optional[float] = None
         self._operator_infinity_norm: Optional[float] = None
+        self._eigenbasis: Optional[
+            Tuple[np.ndarray, Tuple[sp.csr_matrix, ...]]] = None
 
     @property
     def graph(self) -> Optional[Graph]:
@@ -194,6 +196,36 @@ class PropagationPlan:
                     float(np.abs(self.residual_squared).sum(axis=1).max())
             self._operator_infinity_norm = norm
         return self._operator_infinity_norm
+
+    def eigenbasis(self) -> Tuple[np.ndarray, Tuple[sp.csr_matrix, ...]]:
+        """``Q`` with ``Ĥ = QΛQᵀ``, and the ``k`` per-class systems ``M_c``.
+
+        For a symmetric ``Ĥ`` (:attr:`is_symmetric`), ``C = B·Q`` turns
+        Proposition 7's system ``B − A·B·Ĥ + D·B·Ĥ² = Ê`` into ``k``
+        independent ``n x n`` systems ``M_c·C[:, c] = (Ê·Q)[:, c]`` with
+        ``M_c = I − λ_c·A + λ_c²·D`` (``I − λ_c·A`` for LinBP*): the FaBP
+        form of Appendix E once per eigenvalue ``λ_c`` of ``Ĥ``.  The
+        conjugate gradients of :mod:`repro.engine.batch` solve them one
+        class at a time.  ``Q`` comes from ``numpy.linalg.eigh`` (columns
+        are eigenvectors), the ``M_c`` are canonical CSR.  Built on first
+        use and cached, like the radius.
+        """
+        if self._eigenbasis is None:
+            values, vectors = np.linalg.eigh(self.residual)
+            adjacency = self.adjacency
+            systems = []
+            for value in values.tolist():
+                diagonal = np.ones(self.num_nodes)
+                if self.echo_cancellation:
+                    diagonal += value * value * self.degrees
+                system = sp.diags(diagonal, format="csr") \
+                    - value * adjacency
+                system.sum_duplicates()
+                system.sort_indices()
+                systems.append(system)
+            self._eigenbasis = (np.ascontiguousarray(vectors),
+                                tuple(systems))
+        return self._eigenbasis
 
     def is_exactly_convergent(self) -> bool:
         """Exact Lemma 8 criterion: the iteration converges iff radius < 1."""

@@ -19,13 +19,17 @@ from repro.experiments.fig4_torus import (
     torus_workload,
 )
 from repro.experiments.fig6_datasets import run_dataset_table
-from repro.experiments.fig7_incremental import run_incremental_beliefs
+from repro.experiments.fig7_incremental import (
+    incremental_arms,
+    run_incremental_beliefs,
+)
 from repro.experiments.fig7_periteration import run_per_iteration_timing
 from repro.experiments.fig7_quality import run_quality_sweep
 from repro.experiments.fig7_scalability import (
     run_memory_scalability,
     run_relational_scalability,
     run_timing_table,
+    timing_arms,
 )
 from repro.experiments.runner import ResultTable, propagate_batch, timed
 
@@ -43,12 +47,14 @@ __all__ = [
     "torus_reference_values",
     "torus_workload",
     "run_dataset_table",
+    "incremental_arms",
     "run_incremental_beliefs",
     "run_per_iteration_timing",
     "run_quality_sweep",
     "run_memory_scalability",
     "run_relational_scalability",
     "run_timing_table",
+    "timing_arms",
     "ResultTable",
     "propagate_batch",
     "timed",

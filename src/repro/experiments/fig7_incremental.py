@@ -17,7 +17,7 @@ loading the relations, a relational ΔSBP run does not.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence, Tuple
 
 from repro.datasets.kronecker_suite import kronecker_suite
 from repro.datasets.synthetic_labels import (
@@ -25,11 +25,60 @@ from repro.datasets.synthetic_labels import (
     sample_explicit_nodes,
     split_for_incremental_update,
 )
+from repro.engine import clear_plan_cache
 from repro.experiments.runner import ResultTable, sbp_from_scratch, timed
 
-__all__ = ["run_incremental_beliefs"]
+__all__ = ["incremental_arms", "run_incremental_beliefs"]
 
 DEFAULT_FRACTIONS = (0.01, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+def _problem(graph_index: int, explicit_fraction: float, epsilon: float,
+             seed: int):
+    """The graph, the scaled coupling and all labels after the update."""
+    workload = kronecker_suite(max_index=graph_index, seed=seed)[graph_index - 1]
+    graph = workload.graph
+    coupling = workload.coupling.scaled(epsilon)
+    nodes = sample_explicit_nodes(graph.num_nodes, explicit_fraction, seed=seed + 7)
+    full_explicit = sample_explicit_beliefs(graph.num_nodes, 3, nodes, seed=seed + 8)
+    return graph, coupling, full_explicit
+
+
+def _scratch_seconds(engine: str, graph, coupling, explicit) -> float:
+    clear_plan_cache()
+    with sbp_from_scratch(engine, graph, coupling, explicit) as (_, seconds):
+        return seconds
+
+
+def _delta_sbp(engine: str, graph, coupling, full_explicit, fraction: float,
+               seed: int):
+    """``(result, seconds)`` of Algorithm 3 adding ``fraction`` of the
+    labels onto an SBP run over the rest (the run is not timed)."""
+    initial, update = split_for_incremental_update(full_explicit, fraction,
+                                                   seed=seed + 11)
+    with sbp_from_scratch(engine, graph, coupling, initial) as (runner, _):
+        return timed(lambda: runner.add_explicit_beliefs(update))
+
+
+def incremental_arms(graph_index: int = 3, new_fraction: float = 0.01,
+                     explicit_fraction: float = 0.10, epsilon: float = 0.001,
+                     seed: int = 0, engine: str = "relational"
+                     ) -> Tuple[Callable[[], float], Callable[[], float]]:
+    """Fig. 7e's two timed runs at one fraction of new labels.
+
+    Returns ``(sbp_scratch, delta_sbp)``: callables that run SBP from
+    scratch with every label, and ΔSBP adding ``new_fraction`` of them
+    onto a fresh SBP run over the rest, each returning its seconds — the
+    two points :func:`run_incremental_beliefs` compares, for timing them
+    more than once.  SBP from scratch first empties the engine's plan
+    cache, so that a repeated call builds the SBP plan again, as the
+    table's run does.
+    """
+    graph, coupling, full_explicit = _problem(graph_index, explicit_fraction,
+                                              epsilon, seed)
+    return (lambda: _scratch_seconds(engine, graph, coupling, full_explicit),
+            lambda: _delta_sbp(engine, graph, coupling, full_explicit,
+                               new_fraction, seed)[1])
 
 
 def run_incremental_beliefs(graph_index: int = 3, explicit_fraction: float = 0.10,
@@ -50,22 +99,14 @@ def run_incremental_beliefs(graph_index: int = 3, explicit_fraction: float = 0.1
         ``"relational"`` (paper's SQL setting, on SQLite) or ``"memory"``
         for the NumPy implementation.
     """
-    workload = kronecker_suite(max_index=graph_index, seed=seed)[graph_index - 1]
-    graph = workload.graph
-    coupling = workload.coupling.scaled(epsilon)
-    nodes = sample_explicit_nodes(graph.num_nodes, explicit_fraction, seed=seed + 7)
-    full_explicit = sample_explicit_beliefs(graph.num_nodes, 3, nodes, seed=seed + 8)
+    graph, coupling, full_explicit = _problem(graph_index, explicit_fraction,
+                                              epsilon, seed)
     table = ResultTable("Fig. 7e — incremental DSBP vs SBP from scratch")
     # Cost of recomputing from scratch with all labels present (constant line).
-    with sbp_from_scratch(engine, graph, coupling, full_explicit) \
-            as (_, scratch_seconds):
-        pass
+    scratch_seconds = _scratch_seconds(engine, graph, coupling, full_explicit)
     for fraction in new_fractions:
-        initial, update = split_for_incremental_update(full_explicit, fraction,
-                                                       seed=seed + 11)
-        with sbp_from_scratch(engine, graph, coupling, initial) as (runner, _):
-            result, delta_seconds = timed(
-                lambda: runner.add_explicit_beliefs(update))
+        result, delta_seconds = _delta_sbp(engine, graph, coupling,
+                                           full_explicit, fraction, seed)
         table.add_row(
             new_fraction=float(fraction),
             delta_sbp_seconds=delta_seconds,

@@ -14,6 +14,8 @@ termination) on the Kronecker suite and report wall-clock times:
 
 :func:`run_memory_scalability` and :func:`run_relational_scalability`
 reproduce the two panels; :func:`run_timing_table` joins them into Fig. 7c.
+:func:`timing_arms` exposes the runs behind Fig. 7c's two headline
+ratios, so that they can be timed more than once.
 The in-memory implementations stand in for the paper's JAVA/Parallel Colt
 code and the stdlib SQLite backend for PostgreSQL (see
 docs/architecture.md).
@@ -21,12 +23,13 @@ docs/architecture.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.bp import belief_propagation
 from repro.core.linbp import linbp
 from repro.core.sbp import SBP
 from repro.datasets.kronecker_suite import SyntheticWorkload, kronecker_suite
+from repro.engine import clear_plan_cache
 from repro.experiments.runner import ResultTable, sbp_from_scratch, timed
 from repro.relational import SQLiteBackend
 
@@ -34,6 +37,7 @@ __all__ = [
     "run_memory_scalability",
     "run_relational_scalability",
     "run_timing_table",
+    "timing_arms",
 ]
 
 #: Coupling scale used by all timing runs; well inside the convergence region
@@ -46,6 +50,48 @@ TIMING_ITERATIONS = 5
 
 def _workloads(max_index: int, seed: int) -> List[SyntheticWorkload]:
     return kronecker_suite(max_index=max_index, seed=seed)
+
+
+def timing_arms(workload: SyntheticWorkload,
+                epsilon: float = DEFAULT_EPSILON
+                ) -> Dict[str, Callable[[], float]]:
+    """Fig. 7c's timed runs on one workload, each returning its seconds.
+
+    ``bp`` and ``linbp`` run 5 iterations in memory.  ``linbp_sql`` loads
+    the relations into a fresh SQLite database and runs 5 LinBP
+    iterations; ``sbp_sql`` loads them and runs SBP.  Both relational
+    runs count the load, neither counts opening the database.  ``linbp``
+    first empties the engine's plan cache, so that a repeated call builds
+    the plan again, as the first one does.
+    """
+    graph, explicit = workload.graph, workload.explicit
+    coupling = workload.coupling.scaled(epsilon)
+
+    def bp() -> float:
+        return timed(lambda: belief_propagation(
+            graph, coupling, explicit, max_iterations=TIMING_ITERATIONS,
+            tolerance=1e-300))[1]
+
+    def linbp_memory() -> float:
+        clear_plan_cache()
+        return timed(lambda: linbp(graph, coupling, explicit,
+                                   num_iterations=TIMING_ITERATIONS))[1]
+
+    def linbp_sql() -> float:
+        with SQLiteBackend() as backend:
+            def from_scratch():
+                backend.load_graph(graph, coupling, explicit)
+                return backend.run_linbp(num_iterations=TIMING_ITERATIONS)
+
+            return timed(from_scratch)[1]
+
+    def sbp_sql() -> float:
+        with sbp_from_scratch("relational", graph, coupling,
+                              explicit) as (_, seconds):
+            return seconds
+
+    return {"bp": bp, "linbp": linbp_memory, "linbp_sql": linbp_sql,
+            "sbp_sql": sbp_sql}
 
 
 def run_memory_scalability(max_index: int = 4, epsilon: float = DEFAULT_EPSILON,
@@ -61,9 +107,8 @@ def run_memory_scalability(max_index: int = 4, epsilon: float = DEFAULT_EPSILON,
     table = ResultTable("Fig. 7a — main-memory scalability (5 iterations)")
     for workload in (workloads or _workloads(max_index, seed)):
         coupling = workload.coupling.scaled(epsilon)
-        _, linbp_seconds = timed(lambda: linbp(workload.graph, coupling,
-                                               workload.explicit,
-                                               num_iterations=TIMING_ITERATIONS))
+        arms = timing_arms(workload, epsilon)
+        linbp_seconds = arms["linbp"]()
         sbp_runner = SBP(workload.graph, coupling)
         _, sbp_seconds = timed(lambda: sbp_runner.run(workload.explicit))
         # ΔSBP: apply the 1 permille update workload onto the SBP state.
@@ -80,9 +125,7 @@ def run_memory_scalability(max_index: int = 4, epsilon: float = DEFAULT_EPSILON,
             "linbp_over_sbp": linbp_seconds / sbp_seconds if sbp_seconds else float("inf"),
         }
         if include_bp:
-            _, bp_seconds = timed(lambda: belief_propagation(
-                workload.graph, coupling, workload.explicit,
-                max_iterations=TIMING_ITERATIONS, tolerance=1e-300))
+            bp_seconds = arms["bp"]()
             row["bp_seconds"] = bp_seconds
             row["bp_over_linbp"] = bp_seconds / linbp_seconds if linbp_seconds else float("inf")
         table.add_row(**row)
@@ -102,12 +145,7 @@ def run_relational_scalability(max_index: int = 3, epsilon: float = DEFAULT_EPSI
     table = ResultTable("Fig. 7b — relational (SQL) scalability")
     for workload in (workloads or _workloads(max_index, seed)):
         coupling = workload.coupling.scaled(epsilon)
-        with SQLiteBackend() as backend:
-            def linbp_from_scratch():
-                backend.load_graph(workload.graph, coupling, workload.explicit)
-                return backend.run_linbp(num_iterations=TIMING_ITERATIONS)
-
-            _, linbp_seconds = timed(linbp_from_scratch)
+        linbp_seconds = timing_arms(workload, epsilon)["linbp_sql"]()
         with sbp_from_scratch("relational", workload.graph, coupling,
                               workload.explicit) as (runner, sbp_seconds):
             _, delta_seconds = timed(lambda: runner.add_explicit_beliefs(

@@ -63,11 +63,19 @@ def _edge_columns(edges: Iterable[EdgeLike]
     A table of numeric pairs or triples (a list of them, or an ``(m, 2)``
     or ``(m, 3)`` array) converts in one numpy pass.  Anything else --
     :class:`Edge` objects, pairs mixed with triples, strings -- converts
-    edge by edge with ``int``/``float``, and a conversion error is raised
-    only after the edges before it have passed :func:`_check_edges`.
+    edge by edge with ``int``/``float``; an edge that does not convert is
+    a :class:`ValidationError`, raised only after the edges before it
+    have passed :func:`_check_edges`.
     """
-    items = edges if isinstance(edges, (list, tuple, np.ndarray)) \
-        else list(edges)
+    if isinstance(edges, (list, tuple, np.ndarray)):
+        items = edges
+    else:
+        try:
+            items = list(edges)
+        except TypeError:
+            raise ValidationError(
+                f"edges must be an iterable of (source, target) or "
+                f"(source, target, weight) rows, got {edges!r:.60}") from None
     try:
         table = np.asarray(items)
     except (ValueError, TypeError, OverflowError):
@@ -98,13 +106,25 @@ def _edge_columns(edges: Iterable[EdgeLike]
             targets.append(target)
             weights_list.append(weight)
     except (TypeError, ValueError, OverflowError):
-        _check_edges(np.array(sources, dtype=np.int64),
-                     np.array(targets, dtype=np.int64),
-                     np.array(weights_list, dtype=float))
-        raise
-    return (np.array(sources, dtype=np.int64),
-            np.array(targets, dtype=np.int64),
-            np.array(weights_list, dtype=float))
+        columns = _int64_ids(sources, targets)
+        _check_edges(*columns, np.array(weights_list, dtype=float))
+        raise ValidationError(
+            f"edges[{len(sources)}] = {item!r:.60} is not (source, target) "
+            "or (source, target, weight) with integer node ids and a "
+            "numeric weight") from None
+    return _int64_ids(sources, targets) + (np.array(weights_list,
+                                                    dtype=float),)
+
+
+def _int64_ids(sources: List[int], targets: List[int]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Node id columns as int64; an id beyond int64 is a ValidationError."""
+    try:
+        return (np.array(sources, dtype=np.int64),
+                np.array(targets, dtype=np.int64))
+    except OverflowError:
+        raise ValidationError(
+            "node ids must be non-negative integers below 2**63") from None
 
 
 def _check_edges(sources: np.ndarray, targets: np.ndarray,

@@ -195,9 +195,14 @@ def _belief_payload(beliefs: np.ndarray, limit: int,
 def _belief_row(triple, num_nodes: int,
                 num_classes: int) -> Tuple[int, int, float]:
     """One checked ``[node, class, value]`` row."""
-    if len(triple) != 3:
+    if not isinstance(triple, (list, tuple)) or len(triple) != 3:
         raise ValidationError("beliefs must be [node, class, value] triples")
-    node, klass, value = int(triple[0]), int(triple[1]), float(triple[2])
+    try:
+        node, klass, value = int(triple[0]), int(triple[1]), float(triple[2])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"beliefs row {triple!r:.60} is not an integer node, an "
+            "integer class and a number") from None
     if not 0 <= node < num_nodes:
         raise ValidationError(f"node {node} out of range [0, {num_nodes})")
     if not 0 <= klass < num_classes:
@@ -218,6 +223,9 @@ def _belief_matrix(triples, num_nodes: int, num_classes: int) -> np.ndarray:
     :func:`_belief_row` raises for it.  Anything else (ragged rows,
     strings) goes through :func:`_belief_row` row by row.
     """
+    if not isinstance(triples, (list, tuple)):
+        raise ValidationError(
+            "beliefs must be a list of [node, class, value] triples")
     matrix = np.zeros((num_nodes, num_classes))
     try:
         table = np.asarray(triples)
@@ -244,6 +252,37 @@ def _belief_matrix(triples, num_nodes: int, num_classes: int) -> np.ndarray:
     keep = cells.size - 1 - last
     matrix.ravel()[cells[keep]] = values[keep]
     return matrix
+
+
+def _edge_rows(edges) -> List[tuple]:
+    """A request's ``edges`` as tuples; :class:`Graph` checks the values."""
+    if not isinstance(edges, list) \
+            or not all(isinstance(edge, list) for edge in edges):
+        raise ValidationError(
+            "edges must be a list of [source, target] or "
+            "[source, target, weight] rows")
+    return [tuple(edge) for edge in edges]
+
+
+def _real_number(name: str, value: object) -> float:
+    """``value`` as a float, or :class:`ValidationError` naming ``name``."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be a number, got {value!r:.60}") from None
+
+
+def _number_matrix(name: str, value: object) -> np.ndarray:
+    """``value`` as a float array, or :class:`ValidationError` naming it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be a matrix of numbers, got {value!r:.60}") \
+            from None
 
 
 def _json_safe(value):
@@ -401,9 +440,14 @@ class ServiceSession:
     # ------------------------------------------------------------------ #
     def _op_load_graph(self, request: dict, version: int) -> str:
         name = str(request["name"])
-        graph = Graph.from_edges(
-            [tuple(edge) for edge in request["edges"]],
-            num_nodes=request.get("num_nodes"))
+        num_nodes = request.get("num_nodes")
+        if num_nodes is not None:
+            num_nodes = whole_number("num_nodes", num_nodes)
+            if not 0 <= num_nodes < 2 ** 63:
+                raise ValidationError(
+                    "num_nodes must be a non-negative integer below 2**63")
+        graph = Graph.from_edges(_edge_rows(request["edges"]),
+                                 num_nodes=num_nodes)
         snapshot = self.service.register_graph(name, graph)
         return _render_ok(version, "graph", [
             ("name", name), ("nodes", graph.num_nodes),
@@ -411,15 +455,19 @@ class ServiceSession:
 
     def _op_load_coupling(self, request: dict, version: int) -> str:
         name = str(request["name"])
-        epsilon = float(request.get("epsilon", 1.0))
+        epsilon = _real_number("epsilon", request.get("epsilon", 1.0))
         class_names = request.get("classes")
+        if class_names is not None and not (
+                isinstance(class_names, list)
+                and all(isinstance(label, str) for label in class_names)):
+            raise ValidationError("classes must be a list of class names")
         if "residual" in request:
             coupling = CouplingMatrix.from_residual(
-                np.asarray(request["residual"], dtype=float),
+                _number_matrix("residual", request["residual"]),
                 epsilon=epsilon, class_names=class_names)
         elif "stochastic" in request:
             coupling = CouplingMatrix.from_stochastic(
-                np.asarray(request["stochastic"], dtype=float),
+                _number_matrix("stochastic", request["stochastic"]),
                 epsilon=epsilon, class_names=class_names)
         else:
             raise ValidationError(
@@ -504,7 +552,7 @@ class ServiceSession:
                                                               request))
         new_edges = None
         if edges is not None:
-            new_edges = [tuple(edge) for edge in edges]
+            new_edges = _edge_rows(edges)
         snapshot = self.service.update(graph_name, new_beliefs=new_beliefs,
                                        new_edges=new_edges)
         return _render_ok(version, "update", [

@@ -83,6 +83,14 @@ class TestCouplingMatrix:
             CouplingMatrix.from_residual(np.array([[0.1, -0.1], [-0.1, 0.1]]),
                                          epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epsilon_refused(self, epsilon):
+        residual = np.array([[0.1, -0.1], [-0.1, 0.1]])
+        with pytest.raises(ValidationError, match="positive and finite"):
+            CouplingMatrix.from_residual(residual, epsilon=epsilon)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            CouplingMatrix.from_residual(residual).scaled(epsilon)
+
     def test_scaling(self):
         coupling = CouplingMatrix.from_residual(np.array([[0.1, -0.1], [-0.1, 0.1]]))
         scaled = coupling.scaled(0.5)

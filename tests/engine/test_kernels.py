@@ -1,4 +1,5 @@
-"""Kernel-level guarantees: spmm dtype guard, fallback tier, dtype-neutral fills."""
+"""Kernel-level guarantees: spmm/spmv dtype guard, fallback tier,
+dtype-neutral fills, tiled row scaling."""
 
 from __future__ import annotations
 
@@ -101,6 +102,44 @@ class TestFallbackTiers:
         # runs must still agree far below the engine tolerance.
         assert np.abs(fast.beliefs - slow.beliefs).max() < 1e-13
         assert fast.iterations == slow.iterations
+
+
+class TestSpmv:
+    def test_matches_the_sparse_product_and_accumulates(self):
+        matrix, dense, _ = _operands(np.float64)
+        vector = np.ascontiguousarray(dense[:, 0])
+        out = np.full(vector.shape, np.nan)
+        kernels.spmv(matrix, vector, out)
+        assert np.array_equal(out, matrix @ vector)
+        kernels.spmv(matrix, vector, out, accumulate=True)
+        assert np.allclose(out, 2 * (matrix @ vector))
+
+    def test_dtype_mismatch_rejected(self):
+        matrix, dense, _ = _operands(np.float64)
+        vector = np.ascontiguousarray(dense[:, 0])
+        with pytest.raises(ValidationError, match="spmv dtype mismatch"):
+            kernels.spmv(matrix, vector.astype(np.float32), np.empty(25))
+
+    def test_generic_fallback_matches_inplace_path(self, monkeypatch):
+        matrix, dense, _ = _operands(np.float64)
+        vector = np.ascontiguousarray(dense[:, 0])
+        fast = kernels.spmv(matrix, vector, np.empty(25)).copy()
+        monkeypatch.setattr(kernels, "HAVE_INPLACE_SPMM", False)
+        slow = kernels.spmv(matrix, vector, np.empty(25))
+        assert np.array_equal(fast, slow)
+        kernels.spmv(matrix, vector, slow, accumulate=True)
+        assert np.allclose(slow, 2 * fast)
+
+
+class TestScaleRows:
+    @pytest.mark.parametrize("width", [1, 3, 48])
+    def test_tiled_factors_equal_the_broadcast_bit_for_bit(self, width):
+        rng = np.random.default_rng(4)
+        factors = rng.uniform(0.0, 9.0, 37)
+        block = rng.standard_normal((37, width))
+        out = np.empty_like(block)
+        kernels.scale_rows(kernels.tile_rows(factors, width), block, out)
+        assert np.array_equal(out, factors[:, None] * block)
 
 
 class TestMaxAbsChange:

@@ -1,19 +1,21 @@
-"""Fuzzing ``ServiceSession.handle_line`` with v1 ``query`` requests.
+"""Fuzzing ``ServiceSession.handle_line`` with v1 requests of every op.
 
-Whatever JSON values a query's spec fields carry — and whether or not it
-brings the retired ``dtype``/``precision`` keys — the session must give
-exactly one reply line.  That line is strict JSON (no NaN or ±Infinity
-literal), and it is either ``ok`` with finite beliefs or an error whose
-code comes from the exception taxonomy :data:`ERROR_CODES`: a bad field
-is a ``validation`` error, never ``bad-value``, ``internal`` or a
-silently coerced answer.
+Whatever JSON values a request's fields carry — a query's spec fields
+and the retired ``dtype``/``precision`` keys, or the payloads of
+``load_graph``, ``load_coupling``, ``view``, ``read_view`` and
+``update`` — the session must give exactly one reply line.  That line is
+strict JSON (no NaN or ±Infinity literal), and it is either ``ok`` (for
+a query, with finite beliefs) or an error whose code comes from the
+exception taxonomy :data:`ERROR_CODES`: a bad field is a ``validation``
+error, never ``bad-value``, ``internal`` or a silently coerced answer.
 
-The property is derandomized and its example count bounded, so every
-run replays the same examples in about the same time.  Integers are
-kept small and digit-free strings are drawn, so a pinned
-``num_iterations`` stays cheap on the 12-node graph; integers past float
-range go only to the fields where such a value is refused or harmless,
-never to a sweep budget, which would be run.
+The properties are derandomized and their example counts bounded, so
+every run replays the same examples in about the same time.  Integers
+are kept small and digit-free strings are drawn, so a pinned
+``num_iterations`` stays cheap on the 12-node graph, and node ids stay
+small; integers past float range go only to the fields where such a
+value is refused or harmless, never to a sweep budget, which would be
+run.
 """
 
 from __future__ import annotations
@@ -121,3 +123,96 @@ def test_every_query_gets_one_strict_typed_reply(request):
     if request["return_beliefs"]:
         for _, values in body["beliefs"]:
             assert all(math.isfinite(value) for value in values)
+
+
+#: Per op and field: (required, well-formed values, malformed values).
+#: Rows of arbitrary scalars exercise edge and belief rows element by
+#: element.
+rows = st.lists(st.lists(scalars, max_size=4), max_size=3)
+OP_FIELDS = {
+    "load_graph": {
+        "name": (True, st.text(alphabet="gk", min_size=1, max_size=3),
+                 json_values),
+        "edges": (True, st.lists(st.lists(st.integers(0, 15), min_size=2,
+                                          max_size=2), max_size=6),
+                  st.one_of(json_values, rows, HUGE)),
+        "num_nodes": (False, st.integers(0, 20),
+                      st.one_of(json_values, HUGE)),
+    },
+    "load_coupling": {
+        "name": (True, st.sampled_from(["h", "h3", "k"]), json_values),
+        "stochastic": (False, st.sampled_from([
+            [[0.8, 0.2], [0.2, 0.8]],
+            [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]]),
+            st.one_of(json_values, rows, HUGE)),
+        "residual": (False, st.just([[0.5, -0.5], [-0.5, 0.5]]),
+                     st.one_of(json_values, rows)),
+        "epsilon": (False, st.floats(min_value=0.01, max_value=1.0),
+                    st.one_of(json_values, HUGE)),
+        "classes": (False, st.sampled_from([["a", "b"], ["x", "y", "z"]]),
+                    json_values),
+    },
+    "view": {
+        "graph": (True, st.just("g"), json_values),
+        "name": (True, st.sampled_from(["v", "w"]), json_values),
+        "coupling": (True, st.just("h"), json_values),
+        "method": (False, st.sampled_from(["sbp", "linbp", "linbp*"]),
+                   json_values),
+        "beliefs": (True, st.just(BELIEFS), st.one_of(json_values, rows)),
+    },
+    "read_view": {
+        "graph": (True, st.just("g"), json_values),
+        "name": (True, st.sampled_from(["v", "w"]), json_values),
+        "limit": (False, st.integers(0, 20), st.one_of(json_values, HUGE)),
+    },
+    "update": {
+        "graph": (True, st.just("g"), json_values),
+        "edges": (False, st.lists(st.lists(st.integers(0, 11), min_size=2,
+                                           max_size=2),
+                                  min_size=1, max_size=2),
+                  st.one_of(json_values, rows, HUGE)),
+        "beliefs": (False, st.just([[3, 1, 0.1]]),
+                    st.one_of(json_values, rows)),
+        "coupling": (False, st.just("h"), json_values),
+    },
+}
+
+
+@st.composite
+def op_requests(draw):
+    op = draw(st.sampled_from(sorted(OP_FIELDS)))
+    request = {"v": 1, "op": op}
+    for name, (required, valid, malformed) in sorted(OP_FIELDS[op].items()):
+        if not required and draw(st.booleans()):
+            continue
+        well_formed = draw(st.sampled_from([True, True, True, False]))
+        request[name] = draw(valid if well_formed else malformed)
+    return request
+
+
+@lru_cache(maxsize=None)
+def _ops_session() -> ServiceSession:
+    """A session of its own: these requests change graphs and views."""
+    session = ServiceSession(window_seconds=0.0)
+    ring = [[node, (node + 1) % 12] for node in range(12)]
+    for line in (
+            {"v": 1, "op": "load_graph", "name": "g", "edges": ring},
+            {"v": 1, "op": "load_coupling", "name": "h",
+             "stochastic": [[0.8, 0.2], [0.2, 0.8]], "epsilon": 0.5},
+            {"v": 1, "op": "view", "graph": "g", "name": "v",
+             "coupling": "h", "beliefs": BELIEFS}):
+        reply, _ = session.handle_line(json.dumps(line))
+        assert json.loads(reply)["ok"], reply
+    return session
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(request=op_requests())
+def test_every_other_op_gets_one_strict_typed_reply(request):
+    reply, keep_running = _ops_session().handle_line(json.dumps(request))
+    assert keep_running
+    assert reply and "\n" not in reply
+    body = json.loads(reply, parse_constant=_reject_constant)
+    assert body["v"] == 1
+    if not body["ok"]:
+        assert body["error"]["code"] in CODES, body

@@ -187,6 +187,51 @@ class TestV1ErrorPaths:
         assert session.service.snapshot("g").version == 0
         assert session.service.view_names("g") == []
 
+    @pytest.mark.parametrize("request_fields, field", [
+        (dict(op="load_graph", name="g2", edges=[[0, "a"]]), "edges"),
+        (dict(op="load_graph", name="g2", edges=5), "edges"),
+        (dict(op="load_graph", name="g2", edges=[[0, 1]], num_nodes="many"),
+         "num_nodes"),
+        (dict(op="update", graph="g", edges=5), "edges"),
+        (dict(op="load_coupling", name="h2", stochastic="x"), "stochastic"),
+        (dict(op="load_coupling", name="h2", stochastic=[[1, 0], [0, 1]],
+              epsilon="x"), "epsilon"),
+        (dict(op="load_coupling", name="h2", stochastic=[[1, 0], [0, 1]],
+              classes="ab"), "classes"),
+        (dict(op="view", graph="g", name="w", coupling="h", beliefs=3),
+         "beliefs"),
+    ], ids=["edge-value", "edges-scalar", "num-nodes", "update-edges",
+            "stochastic", "epsilon", "classes", "view-beliefs"])
+    def test_malformed_payloads_of_other_ops(self, request_fields, field):
+        session = _session()
+        for version in (0, 1):
+            reply, _ = session.handle_line(_line(v=version, **request_fields))
+            if version == 0:
+                assert reply.startswith("error ") and field in reply, reply
+                continue
+            error = json.loads(reply)["error"]
+            assert error["code"] == "validation", error
+            assert field in error["message"]
+        assert session.service.graph_names() == ["g"]
+        assert session.service.snapshot("g").version == 0
+        assert session.service.view_names("g") == []
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coupling_scale_refused(self, literal):
+        # NaN and ±Infinity are what a client can put on the wire.
+        session = _session()
+        request = _line(op="load_coupling", name="h2",
+                        stochastic=[[0.8, 0.2], [0.2, 0.8]])[:-1] \
+            + f', "epsilon": {literal}}}'
+        v0, _ = session.handle_line(request)
+        assert v0.startswith("error epsilon (the coupling scale) must be "
+                             "positive and finite")
+        v1 = json.loads(session.handle_line(request[:-1] + ', "v": 1}')[0])
+        assert v1["error"]["code"] == "validation"
+        assert "epsilon" in v1["error"]["message"]
+        assert _query(session, coupling="h2")["error"]["message"] == \
+            "unknown coupling 'h2'"
+
     def test_negative_limit_is_rejected(self):
         session = _session()
         body = _query(session, limit=-1)
