@@ -3,9 +3,10 @@
 ``PropagationPlan.eigenbasis()`` splits Proposition 7's system into one
 ``n x n`` system ``M_c = I − λ_c·A + λ_c²·D`` per eigenvalue of ``Ĥ``;
 ``run_batch`` runs one CG per (query, class) on them.  These tests hold
-the split to the plan's own operator, check that a class with nothing to
-solve takes no step, and that a failed certification restarts only the
-query that failed.
+the split to the plan's own operator, check that the CG iterate survives
+Jacobi sweeps of a reused workspace, that a class with nothing to solve
+takes no step, and that a failed certification restarts only the query
+that failed.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ def workload():
     return kronecker_suite(max_index=1, seed=0)[0]
 
 
-def _plan(workload, echo=True, fraction=0.9):
+def _plan(workload, echo=True):
+    """The workload's plan at 0.9 of its Lemma 8 limit, where CG answers."""
     limit = max_epsilon_exact(workload.graph, workload.coupling,
                               echo_cancellation=echo)
-    return get_plan(workload.graph, workload.coupling.scaled(fraction * limit),
+    return get_plan(workload.graph, workload.coupling.scaled(0.9 * limit),
                     echo_cancellation=echo)
 
 
