@@ -34,8 +34,7 @@ def test_fig7e_incremental_beliefs(benchmark, bench_max_index):
     # recomputation (the left side of the paper's crossover plot).
     repaired = [row["nodes_updated"] for row in table]
     assert repaired == sorted(repaired)
-    scratch, delta = incremental_arms(graph_index, FRACTIONS[0],
-                                      engine="memory")
+    scratch, delta = incremental_arms(graph_index, FRACTIONS[0], "memory")
     rounds = sample_pairs(scratch, delta, PAIRS)
     assert rounds.median > 1.0, (
         f"ΔSBP at {FRACTIONS[0]:.0%} new labels not faster than SBP from "

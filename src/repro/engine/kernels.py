@@ -89,9 +89,9 @@ def spmm(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
     return out
 
 
-def spmv(csr: sp.csr_matrix, vector: np.ndarray, out: np.ndarray,
-         accumulate: bool = False) -> np.ndarray:
-    """``out <- csr @ vector`` (or ``out += ...``) into the preallocated vector.
+def spmv(csr: sp.csr_matrix, vector: np.ndarray,
+         out: np.ndarray) -> np.ndarray:
+    """``out <- csr @ vector`` into the preallocated vector.
 
     The one-column form of :func:`spmm`, with the same dtype guard and
     fallback: ``vector`` and ``out`` are contiguous 1-D arrays.  scipy's
@@ -102,15 +102,11 @@ def spmv(csr: sp.csr_matrix, vector: np.ndarray, out: np.ndarray,
     _check_dtypes("spmv", csr, vector, out)
     if HAVE_INPLACE_SPMM and out.flags.c_contiguous \
             and vector.flags.c_contiguous:
-        if not accumulate:
-            out.fill(0.0)
+        out.fill(0.0)
         _csr_matvec(csr.shape[0], csr.shape[1], csr.indptr, csr.indices,
                     csr.data, vector, out)
         return out
-    if accumulate:
-        out += csr @ vector
-    else:
-        out[...] = csr @ vector
+    out[...] = csr @ vector
     return out
 
 

@@ -32,6 +32,15 @@ __all__ = ["incremental_arms", "run_incremental_beliefs"]
 
 DEFAULT_FRACTIONS = (0.01, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
+#: Fraction of the nodes labeled after the update (the paper's 10 %).
+EXPLICIT_FRACTION = 0.10
+
+#: Coupling scale of every run, well inside convergence on every graph.
+EPSILON = 0.001
+
+#: Seed of the workload and of the label sample.
+SEED = 0
+
 
 def _problem(graph_index: int, explicit_fraction: float, epsilon: float,
              seed: int):
@@ -60,30 +69,29 @@ def _delta_sbp(engine: str, graph, coupling, full_explicit, fraction: float,
         return timed(lambda: runner.add_explicit_beliefs(update))
 
 
-def incremental_arms(graph_index: int = 3, new_fraction: float = 0.01,
-                     explicit_fraction: float = 0.10, epsilon: float = 0.001,
-                     seed: int = 0, engine: str = "relational"
+def incremental_arms(graph_index: int, new_fraction: float, engine: str
                      ) -> Tuple[Callable[[], float], Callable[[], float]]:
     """Fig. 7e's two timed runs at one fraction of new labels.
 
     Returns ``(sbp_scratch, delta_sbp)``: callables that run SBP from
     scratch with every label, and ΔSBP adding ``new_fraction`` of them
     onto a fresh SBP run over the rest, each returning its seconds — the
-    two points :func:`run_incremental_beliefs` compares, for timing them
-    more than once.  SBP from scratch first empties the engine's plan
-    cache, so that a repeated call builds the SBP plan again, as the
-    table's run does.
+    two points :func:`run_incremental_beliefs` compares at its default
+    labels, scale and seed, for timing them more than once.  SBP from
+    scratch first empties the engine's plan cache, so that a repeated
+    call builds the SBP plan again, as the table's run does.
     """
-    graph, coupling, full_explicit = _problem(graph_index, explicit_fraction,
-                                              epsilon, seed)
+    graph, coupling, full_explicit = _problem(graph_index, EXPLICIT_FRACTION,
+                                              EPSILON, SEED)
     return (lambda: _scratch_seconds(engine, graph, coupling, full_explicit),
             lambda: _delta_sbp(engine, graph, coupling, full_explicit,
-                               new_fraction, seed)[1])
+                               new_fraction, SEED)[1])
 
 
-def run_incremental_beliefs(graph_index: int = 3, explicit_fraction: float = 0.10,
+def run_incremental_beliefs(graph_index: int = 3,
+                            explicit_fraction: float = EXPLICIT_FRACTION,
                             new_fractions: Sequence[float] = DEFAULT_FRACTIONS,
-                            epsilon: float = 0.001, seed: int = 0,
+                            epsilon: float = EPSILON, seed: int = SEED,
                             engine: str = "relational") -> ResultTable:
     """Fig. 7e: ΔSBP update time vs full SBP recomputation.
 

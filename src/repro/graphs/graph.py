@@ -67,7 +67,8 @@ def _edge_columns(edges: Iterable[EdgeLike]
     a :class:`ValidationError`, raised only after the edges before it
     have passed :func:`_check_edges`.
     """
-    if isinstance(edges, (list, tuple, np.ndarray)):
+    if isinstance(edges, (list, tuple)) \
+            or (isinstance(edges, np.ndarray) and edges.ndim > 0):
         items = edges
     else:
         try:

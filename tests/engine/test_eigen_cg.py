@@ -46,9 +46,9 @@ def _class_steps(monkeypatch, plan):
     counts = {id(system): 0 for system in systems}
     spmv = kernels.spmv
 
-    def counting(csr, vector, out, accumulate=False):
+    def counting(csr, vector, out):
         counts[id(csr)] += 1
-        return spmv(csr, vector, out, accumulate)
+        return spmv(csr, vector, out)
 
     monkeypatch.setattr(kernels, "spmv", counting)
     return lambda: [counts[id(system)] for system in systems]

@@ -185,6 +185,9 @@ def test_conversion_errors_still_raise():
         Graph.from_edges([(0, float("nan"))])
     with pytest.raises(ValueError):
         Graph.from_edges([(0, 1, 2, 3)])
+    for not_a_table in (5, np.array(5)):
+        with pytest.raises(ValidationError, match="edges must be an iterable"):
+            Graph.from_edges(not_a_table)
 
 
 # ---------------------------------------------------------------------- #
