@@ -7,7 +7,7 @@ executed by the stdlib SQLite engine on the Fig. 6a Kronecker workloads.
 
 Gate: **equivalence** — SQLite must match the in-memory
 :func:`repro.engine.batch.run_batch` beliefs to 1e-10 at every size (the
-benchmark-level restatement of the cross-backend differential suite).
+benchmark-level restatement of the SQLite differential suite).
 The timed statistic is SQLite LinBP on Kronecker graph #1.
 
 Iteration counts are fixed (``num_iterations``) so every run does

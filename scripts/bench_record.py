@@ -94,7 +94,7 @@ register_suite(
     "sql",
     ["benchmarks/test_bench_sql_backend.py"],
     "BENCH_sql.json",
-    "SQL execution backends (timings depend on the linked SQLite)")
+    "SQLite execution backend (timings depend on the linked SQLite)")
 register_suite(
     "stream",
     ["benchmarks/test_bench_stream.py"],

@@ -17,18 +17,14 @@ The CLI mirrors how the paper's artifacts would be used from a shell:
 
 ``python -m repro serve``
     Run the propagation service: JSON requests (one per line, over stdin
-    or TCP), plain-text responses.  Concurrent queries against one graph
-    are micro-batched through the engine (see
-    :mod:`repro.service.protocol` for the operations).
+    or, with ``--port``, the asyncio TCP server), plain-text responses.
+    Concurrent queries against one graph are micro-batched through the
+    engine (see :mod:`repro.service.protocol` for the operations).
 
 ``python -m repro stats``
     Query a running ``repro serve`` instance for its request counters
     (``stats``) or its full telemetry registry (``--metrics``), over the
     versioned line protocol.
-
-``python -m repro sql-info``
-    Report which SQL execution backends (``label --backend``) are usable:
-    the stdlib SQLite engine and the optional DuckDB engine.
 
 Every command works on plain text files and prints plain text, so results can
 be piped into other tools.
@@ -115,19 +111,26 @@ def _load_coupling(path: Path, epsilon: float) -> CouplingMatrix:
 
 
 def _label_backend(args: argparse.Namespace, graph, coupling, explicit):
-    """Run one labeling query on a relational execution backend."""
+    """Run one labeling query on the SQLite backend."""
     from repro.relational.engine import run_propagation
 
     if args.method == "bp":
         raise ReproError(
             "--backend runs the paper's relational programs; method 'bp' has "
             "no relational form (use linbp, linbp* or sbp)")
-    return run_propagation(graph, coupling, explicit, method=args.method,
-                           backend=args.backend, database=args.database,
-                           max_iterations=args.max_iterations)
+    return run_propagation(
+        graph, coupling, explicit, method=args.method,
+        database=args.database if args.database is not None else ":memory:",
+        max_iterations=args.max_iterations, tolerance=args.tolerance)
 
 
 def _command_label(args: argparse.Namespace) -> int:
+    if args.database is not None and args.backend is None:
+        # Without --backend the in-memory engine runs and would write no
+        # database; refuse rather than drop the flag.
+        print("error: --database needs --backend sqlite; the in-memory "
+              "engine writes no database", file=sys.stderr)
+        return 2
     graph = graph_io.read_edge_list(args.graph, num_nodes=args.num_nodes)
     coupling = _load_coupling(args.coupling, args.epsilon)
     explicit = graph_io.read_belief_table(args.beliefs, num_nodes=graph.num_nodes,
@@ -209,16 +212,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_sql_info(args: argparse.Namespace) -> int:
-    from repro.relational.backends import backend_info
-
-    print(f"{'backend':<10} {'status':<13} engine")
-    for entry in backend_info():
-        status = "available" if entry["available"] else "unavailable"
-        print(f"{entry['name']:<10} {status:<13} {entry['engine']}")
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceSession
 
@@ -272,47 +265,30 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _run_serve_frontend(args: argparse.Namespace,
                         session: "ServiceSession") -> int:
-    """Run the selected serve front end (async TCP, stdin, threaded TCP)."""
-    from repro.service import LineProtocolServer, serve_stream
-
-    if getattr(args, "use_async", False):
-        import asyncio
-
-        from repro.service import serve_async
-
-        if args.port is None:
-            print("error: --async needs --port (stdin mode is synchronous)",
-                  file=sys.stderr)
-            return 2
-
-        def ready(address):
-            print(f"repro serve: async, listening on "
-                  f"{address[0]}:{address[1]}", file=sys.stderr)
-
-        try:
-            asyncio.run(serve_async(
-                session, host=args.host, port=args.port,
-                max_pending=args.max_pending,
-                max_inflight=args.max_inflight,
-                workers=args.async_workers, ready=ready))
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
-        return 0
+    """Serve stdin, or TCP through the asyncio server with ``--port``."""
     if args.port is None:
+        from repro.service import serve_stream
+
         print("repro serve: reading JSON requests from stdin "
               "(one per line; {\"op\": \"shutdown\"} to stop)",
               file=sys.stderr)
         serve_stream(session, sys.stdin, sys.stdout)
         return 0
-    server = LineProtocolServer((args.host, args.port), session)
-    host, port = server.server_address[:2]
-    print(f"repro serve: listening on {host}:{port}", file=sys.stderr)
+    import asyncio
+
+    from repro.service import serve_async
+
+    def ready(address):
+        print(f"repro serve: listening on {address[0]}:{address[1]}",
+              file=sys.stderr)
+
     try:
-        server.serve_forever()
+        asyncio.run(serve_async(
+            session, host=args.host, port=args.port,
+            max_pending=args.max_pending, max_inflight=args.max_inflight,
+            workers=args.async_workers, ready=ready))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
-    finally:
-        server.server_close()
     return 0
 
 
@@ -499,13 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the final belief table to this path")
     label.add_argument("--limit", type=int, default=20,
                        help="print at most this many node labels (0 = all)")
-    label.add_argument("--backend", choices=["sqlite", "duckdb"],
-                       default=None,
-                       help="run the relational program on a SQL engine "
+    label.add_argument("--backend", choices=["sqlite"], default=None,
+                       help="run the relational program on SQLite "
                             "instead of the in-memory engine "
                             "(linbp/linbp*/sbp only; default: in-memory)")
-    label.add_argument("--database", default=":memory:",
-                       help="database for --backend sqlite/duckdb; a file "
+    label.add_argument("--database", default=None,
+                       help="database for --backend sqlite; a file "
                             "path persists the graph and beliefs "
                             "(default: ':memory:')")
     label.set_defaults(handler=_command_label)
@@ -526,10 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--output", type=Path, default=None)
     experiment.set_defaults(handler=_command_experiment)
 
-    sql_info = subparsers.add_parser(
-        "sql-info", help="report which SQL execution backends are usable")
-    sql_info.set_defaults(handler=_command_sql_info)
-
     serve = subparsers.add_parser(
         "serve", help="run the propagation service (JSON line protocol)")
     serve.add_argument("--port", type=int, default=None,
@@ -549,18 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
                        default=256,
                        help="result cache LRU capacity (0 disables result "
                             "caching; default: 256)")
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve with the asyncio front end (admission "
-                            "control + per-connection backpressure); "
-                            "requires --port")
+    serve.add_argument("--async", action="store_true",
+                       help="no effect, kept for old command lines: "
+                            "--port always serves with the asyncio front end")
     serve.add_argument("--max-pending", type=_non_negative_int, default=64,
-                       help="async: reject requests above this in-flight "
+                       help="reject requests above this in-flight "
                             "count with an 'overloaded' error (default: 64)")
     serve.add_argument("--max-inflight", type=_positive_int, default=8,
-                       help="async: per-connection cap on unanswered "
+                       help="per-connection cap on unanswered "
                             "requests before reads pause (default: 8)")
     serve.add_argument("--async-workers", type=_positive_int, default=16,
-                       help="async: worker threads executing requests "
+                       help="worker threads executing requests "
                             "(default: 16)")
     serve.add_argument("--snapshot-history", type=_non_negative_int,
                        default=4,

@@ -3,8 +3,8 @@
 All exceptions raised intentionally by this library derive from
 :class:`ReproError`, so callers can catch a single base class.  The more
 specific subclasses distinguish between malformed inputs (shape and value
-problems), algorithmic non-convergence, and problems with the SQL
-execution backends that run the relational implementations.
+problems), algorithmic non-convergence, and problems with the SQLite
+backend that runs the relational implementations.
 """
 
 from __future__ import annotations
@@ -56,23 +56,15 @@ class SchemaError(RelationalError, ValueError):
 
 
 class BackendError(RelationalError):
-    """Base class for problems with the pluggable SQL execution backends."""
+    """Base class for problems with the SQLite execution backend."""
 
 
-class UnknownBackendError(BackendError, ValueError):
-    """A backend name does not match any registered execution backend.
+class BackendUnavailableError(BackendError):
+    """The linked SQLite library cannot run the SQL program.
 
-    The message lists the registered names so the typo is obvious; callers
-    (the CLI, the service layer) can catch it without string matching.
-    """
-
-
-class BackendUnavailableError(BackendError, ImportError):
-    """A registered backend exists but its driver is not installed.
-
-    Derives from :class:`ImportError` because the root cause is always a
-    missing module (e.g. ``duckdb``); the message says which package to
-    install instead of surfacing a bare ``ModuleNotFoundError``.
+    The program needs ``UPDATE ... FROM`` (SQLite ≥ 3.33); the message
+    names the linked version instead of failing with a syntax error
+    mid-sweep.
     """
 
 

@@ -1,26 +1,11 @@
 """The paper's relational LinBP/SBP/ΔSBP programs, run as real SQL.
 
-:class:`~repro.relational.backends.SQLBackend` holds the one relational
-implementation (Algorithms 1–4 as portable SQL); SQLite and DuckDB supply
-the connection.  :func:`open_backend` and :func:`run_propagation` are the
-entry points.
+:class:`~repro.relational.backends.SQLiteBackend` holds the one relational
+implementation (Algorithms 1–4 as standard SQL over the stdlib SQLite
+engine); :func:`run_propagation` runs one method on it in a single call.
 """
 
-from repro.relational.backends import (
-    DuckDBBackend,
-    SQLBackend,
-    SQLiteBackend,
-    available_backends,
-    get_backend,
-)
-from repro.relational.engine import open_backend, run_propagation
+from repro.relational.backends import SQLiteBackend
+from repro.relational.engine import run_propagation
 
-__all__ = [
-    "open_backend",
-    "run_propagation",
-    "SQLBackend",
-    "SQLiteBackend",
-    "DuckDBBackend",
-    "get_backend",
-    "available_backends",
-]
+__all__ = ["run_propagation", "SQLiteBackend"]

@@ -1,12 +1,13 @@
-"""The shared SQL program and its generic DB-API driver.
+"""The paper's SQL program, run on the stdlib SQLite engine.
 
 The paper's headline systems claim (Section 5.3, Section 6.3) is that LinBP
 and SBP need nothing beyond standard SQL: joins, GROUP BY aggregates, and a
-client loop.  :class:`SQLBackend` is the one relational implementation of
+client loop.  :class:`SQLiteBackend` is the one relational implementation of
 that claim — ``connect`` / ``load_graph`` / ``run_linbp`` / ``run_sbp`` /
 ``add_explicit_beliefs`` / ``add_edges`` / ``fetch_beliefs`` — and every
-query it issues is plain portable SQL, so the concrete SQLite and DuckDB
-backends only supply a connection and a version string.
+query it issues is plain standard SQL over :mod:`sqlite3`.  The only dialect
+requirement is ``UPDATE ... FROM`` (SQLite ≥ 3.33, released 2020), checked
+when the connection opens.
 
 The compiled SQL program per algorithm:
 
@@ -31,15 +32,15 @@ The compiled SQL program per algorithm:
   written back, in one transaction.
 
 Beliefs live in the database for the whole run: with ``materialize=False``
-(and :meth:`SQLBackend.top_labels`, which ranks beliefs with a window
+(and :meth:`SQLiteBackend.top_labels`, which ranks beliefs with a window
 function) a graph streamed onto disk is labeled without ever building the
 dense ``n × k`` belief matrix in Python — the out-of-core path.
 """
 
 from __future__ import annotations
 
-import abc
 import itertools
+import sqlite3
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -53,11 +54,18 @@ from repro.engine.sbp_plan import (
     repair_added_edges,
     repair_explicit_beliefs,
 )
-from repro.exceptions import BackendStateError, ValidationError
+from repro.exceptions import (
+    BackendStateError,
+    BackendUnavailableError,
+    ValidationError,
+)
 from repro.graphs.geodesic import UNREACHABLE
 from repro.graphs.graph import EdgeLike, Graph
 
-__all__ = ["SQLBackend", "INSERT_CHUNK_ROWS"]
+__all__ = ["SQLiteBackend", "INSERT_CHUNK_ROWS"]
+
+#: UPDATE ... FROM landed in SQLite 3.33.0.
+_MIN_VERSION = (3, 33, 0)
 
 #: Rows per ``executemany`` chunk while streaming edges/beliefs into the
 #: database — bounds Python-side memory regardless of graph size.
@@ -111,7 +119,7 @@ _CREATE_SCHEMA = [
     "CREATE INDEX idx_geodesic_g ON geodesic (g)",
 ]
 
-#: 0..n-1 without client-side row generation (works in SQLite and DuckDB).
+#: 0..n-1 without client-side row generation.
 _FILL_NODES = """
 INSERT INTO nodes (v)
 WITH RECURSIVE seq(v) AS (
@@ -263,8 +271,8 @@ def _scatter(rows: List[Tuple], shape: Tuple[int, ...],
     return dense
 
 
-class SQLBackend(abc.ABC):
-    """Generic DB-API 2.0 driver for the shared SQL program.
+class SQLiteBackend:
+    """The paper's SQL program over the stdlib :mod:`sqlite3` module.
 
     Runs the same zero-start LinBP semantics as
     :func:`repro.engine.batch.run_batch`, the same single-sweep SBP
@@ -272,12 +280,6 @@ class SQLBackend(abc.ABC):
     ΔSBP repairs as :class:`repro.core.sbp.SBP`, so results — beliefs,
     geodesic numbers, iteration counts, convergence flags — are
     interchangeable with the in-memory engines.
-
-    Subclasses provide :meth:`_open` (a new connection in autocommit mode —
-    the driver manages transactions explicitly with BEGIN/COMMIT/ROLLBACK),
-    :meth:`is_available` and :meth:`engine_version`.  Everything else —
-    schema, loading, the sweeps, convergence, the incremental updates,
-    label extraction — is portable SQL shared by SQLite and DuckDB.
 
     Parameters
     ----------
@@ -288,12 +290,9 @@ class SQLBackend(abc.ABC):
         and an SBP result reopened that way still takes ΔSBP updates.
     """
 
-    #: Registry name ("sqlite", "duckdb").
-    name: str = "?"
-
     def __init__(self, database: str = ":memory:"):
         self.database = str(database)
-        self._connection = None
+        self._connection: Optional[sqlite3.Connection] = None
         self.num_nodes: Optional[int] = None
         self.num_classes: Optional[int] = None
         self.epsilon: Optional[float] = None
@@ -301,27 +300,21 @@ class SQLBackend(abc.ABC):
         #: None; persisted in ``meta`` so ΔSBP survives a reopen.
         self.last_run: Optional[str] = None
 
-    # ------------------------------------------------------------------ #
-    # dialect hooks
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def _open(self):
-        """Open and return a DB-API connection in autocommit mode."""
-
-    @classmethod
-    @abc.abstractmethod
-    def is_available(cls) -> bool:
-        """Whether this backend can actually run in the current environment."""
-
-    @classmethod
-    @abc.abstractmethod
-    def engine_version(cls) -> str:
-        """Human-readable version of the underlying engine."""
+    def _open(self) -> sqlite3.Connection:
+        if sqlite3.sqlite_version_info < _MIN_VERSION:
+            raise BackendUnavailableError(
+                f"the sqlite backend needs SQLite >= "
+                f"{'.'.join(map(str, _MIN_VERSION))} for UPDATE ... FROM; "
+                f"this Python links SQLite {sqlite3.sqlite_version}")
+        # isolation_level=None disables sqlite3's implicit transaction
+        # management so the explicit BEGIN/COMMIT/ROLLBACK of _transaction
+        # is the only transaction boundary.
+        return sqlite3.connect(self.database, isolation_level=None)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def connect(self) -> "SQLBackend":
+    def connect(self) -> "SQLiteBackend":
         """Open the connection (idempotent) and restore persisted metadata."""
         if self._connection is None:
             self._connection = self._open()
@@ -334,7 +327,7 @@ class SQLBackend(abc.ABC):
             self._connection.close()
             self._connection = None
 
-    def __enter__(self) -> "SQLBackend":
+    def __enter__(self) -> "SQLiteBackend":
         return self.connect()
 
     def __exit__(self, exc_type, exc, traceback) -> None:
@@ -351,7 +344,7 @@ class SQLBackend(abc.ABC):
     def _require_loaded(self) -> None:
         if not self.is_loaded:
             raise BackendStateError(
-                f"backend {self.name!r} has no graph loaded; call "
+                "backend 'sqlite' has no graph loaded; call "
                 "load_graph() (or open a database that already holds one) "
                 "before running sweeps or fetching beliefs")
 
@@ -359,7 +352,7 @@ class SQLBackend(abc.ABC):
         self._require_loaded()
         if self.last_run != "sbp":
             raise BackendStateError(
-                f"backend {self.name!r}: incremental SBP updates repair the "
+                f"backend 'sqlite': incremental SBP updates repair the "
                 f"result of run_sbp(), but the last run was "
                 f"{self.last_run or 'none'}; call run_sbp() first")
 
@@ -553,13 +546,12 @@ class SQLBackend(abc.ABC):
             else np.zeros((0, self.num_classes))
         return PropagationResult(
             beliefs=beliefs,
-            method=("LinBP" if echo_cancellation else "LinBP*")
-                   + f" ({self.name})",
+            method=("LinBP" if echo_cancellation else "LinBP*") + " (sqlite)",
             iterations=iterations,
             converged=converged,
             residual_history=history,
-            extra={"engine": f"sql-{self.name}",
-                   "backend": self.name,
+            extra={"engine": "sql-sqlite",
+                   "backend": "sqlite",
                    "database": self.database,
                    "echo_cancellation": bool(echo_cancellation),
                    "epsilon": self.epsilon,
@@ -604,12 +596,12 @@ class SQLBackend(abc.ABC):
                     **extra: object) -> PropagationResult:
         return PropagationResult(
             beliefs=beliefs,
-            method=f"SBP ({self.name})",
+            method="SBP (sqlite)",
             iterations=max(0, int(geodesic.max())) if geodesic.size else 0,
             converged=True,
             residual_history=[],
-            extra={"engine": f"sql-{self.name}",
-                   "backend": self.name,
+            extra={"engine": "sql-sqlite",
+                   "backend": "sqlite",
                    "database": self.database,
                    "geodesic_numbers": geodesic,
                    "epsilon": self.epsilon,

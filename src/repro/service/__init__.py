@@ -16,13 +16,14 @@ that layer for the reproduction:
   leader/follower micro-batching primitive that turns concurrent
   single-query traffic into stacked :func:`repro.engine.batch.run_batch`
   / :func:`repro.engine.sbp_plan.run_sbp_batch` calls;
-* :mod:`repro.service.protocol` / :mod:`repro.service.server` — the
-  ``repro serve`` line protocol (versioned: legacy plain-text v0 and
-  JSON v1 responses with a stable error-code taxonomy) over stdin or
-  TCP;
-* :mod:`repro.service.aserve` — :class:`AsyncServiceServer`, the
-  asyncio front end with admission control and per-connection
-  backpressure (``repro serve --async``);
+* :mod:`repro.service.protocol` — the ``repro serve`` line protocol
+  (versioned: legacy plain-text v0 and JSON v1 responses with a stable
+  error-code taxonomy);
+* :mod:`repro.service.server` — :func:`serve_stream`, the protocol over
+  stdin/stdout (``repro serve``);
+* :mod:`repro.service.aserve` — :class:`AsyncServiceServer`, the TCP
+  front end, with admission control and per-connection backpressure
+  (``repro serve --port``);
 * :mod:`repro.service.harness` — :class:`ServiceHarness`, the
   closed-loop client driver used by the service benchmarks and the
   equivalence tests.
@@ -37,7 +38,7 @@ from repro.service.aserve import AsyncServiceServer, serve_async
 from repro.service.coalescer import MicroBatcher
 from repro.service.harness import HarnessRun, ServiceHarness
 from repro.service.protocol import ServiceSession, error_code
-from repro.service.server import LineProtocolServer, serve_stream
+from repro.service.server import serve_stream
 from repro.service.service import GraphSnapshot, PropagationService
 from repro.service.spec import QuerySpec
 
@@ -47,7 +48,6 @@ __all__ = [
     "ServiceHarness",
     "ServiceSession",
     "error_code",
-    "LineProtocolServer",
     "serve_stream",
     "AsyncServiceServer",
     "serve_async",

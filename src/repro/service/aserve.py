@@ -1,11 +1,9 @@
-"""Asyncio front end for the propagation service.
+"""The TCP front end of the propagation service, on asyncio.
 
-The thread-per-connection TCP server (:mod:`repro.service.server`)
-serves each client with a dedicated OS thread and no traffic policing —
-fine for a handful of trusted clients, wrong for the ROADMAP's sustained
-mixed mutation+query traffic.  :class:`AsyncServiceServer` fronts the
-*same* shared :class:`~repro.service.protocol.ServiceSession` with one
-event loop and three policies:
+:class:`AsyncServiceServer` serves a shared
+:class:`~repro.service.protocol.ServiceSession` to every connection from
+one event loop, under three policies that keep sustained mixed
+mutation+query traffic in check:
 
 * **Admission control** — a bounded count of in-flight requests across
   all connections (``max_pending``).  A request arriving over the bound
@@ -26,8 +24,8 @@ event loop and three policies:
   reads warm while a mutation's cold new version is computed.
 
 Because every connection shares the session and requests run on a
-thread pool, concurrent queries from different asyncio clients coalesce
-in the service's micro-batcher exactly as threaded-server traffic does.
+thread pool, concurrent queries from different connections coalesce in
+the service's micro-batcher.
 
 Usage::
 
@@ -35,7 +33,7 @@ Usage::
     await server.start(host="127.0.0.1", port=7155)
     await server.serve_until_shutdown()     # returns after {"op": "shutdown"}
 
-or, from the CLI, ``repro serve --async --port 7155``.
+or, from the CLI, ``repro serve --port 7155``.
 """
 
 from __future__ import annotations
@@ -294,7 +292,7 @@ async def serve_async(session: Optional[ServiceSession] = None, *,
                       ready=None) -> None:
     """Run an :class:`AsyncServiceServer` until a ``shutdown`` op.
 
-    The coroutine behind ``repro serve --async``.  ``ready`` (when
+    The coroutine behind ``repro serve --port``.  ``ready`` (when
     given) is called with the bound ``(host, port)`` once the server is
     listening — the CLI uses it to print the actual port.
     """

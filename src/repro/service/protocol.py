@@ -19,9 +19,9 @@ one response per line.  The response *shape* is versioned by the request:
 A request that cannot be parsed at all (malformed JSON) is answered in
 v0 text — its version field is unreadable by definition.
 
-The protocol is transport-agnostic: the stdin loop, the threaded TCP
-server (:mod:`repro.service.server`) and the asyncio front end
-(:mod:`repro.service.aserve`) all feed lines through one shared
+The protocol is transport-agnostic: the stdin loop
+(:mod:`repro.service.server`) and the asyncio TCP server
+(:mod:`repro.service.aserve`) both feed lines through one shared
 :class:`ServiceSession` (so graphs loaded by one client are visible to
 every other client, which is what makes cross-client coalescing
 possible).
@@ -77,7 +77,6 @@ from repro.exceptions import (
     RelationalError,
     ReproError,
     SchemaError,
-    UnknownBackendError,
     ValidationError,
 )
 from repro.graphs.graph import Graph
@@ -98,7 +97,6 @@ ERROR_CODES: Tuple[Tuple[type, str], ...] = (
     (NotConvergentParametersError, "not-convergent"),
     (ConvergenceError, "convergence"),
     (ValidationError, "validation"),
-    (UnknownBackendError, "unknown-backend"),
     (BackendUnavailableError, "backend-unavailable"),
     (BackendStateError, "backend-state"),
     (BackendError, "backend"),

@@ -1,26 +1,21 @@
-"""Transports for the propagation service: a stdin loop and a TCP server.
+"""The stdin transport of the propagation service.
 
-Both speak the line protocol of :mod:`repro.service.protocol` against one
-shared :class:`~repro.service.protocol.ServiceSession`:
-
-* :func:`serve_stream` — read JSON request lines from a text stream,
-  write plain-text response lines to another; used by ``repro serve``
-  without ``--port`` (pipe-friendly, one client);
-* :class:`LineProtocolServer` — a ``ThreadingTCPServer`` handling one
-  connection per thread; because every connection shares the session,
-  concurrent clients hit the same graphs and the service's coalescer
-  batches their simultaneous queries.
+:func:`serve_stream` speaks the line protocol of
+:mod:`repro.service.protocol` against a
+:class:`~repro.service.protocol.ServiceSession`: JSON request lines from a
+text stream, plain-text response lines to another.  It is ``repro serve``
+without ``--port`` (pipe-friendly, one client); with ``--port`` the
+asyncio server of :mod:`repro.service.aserve` serves the same session over
+TCP.
 """
 
 from __future__ import annotations
 
-import socketserver
-import threading
-from typing import IO, Optional, Tuple
+from typing import IO
 
 from repro.service.protocol import ServiceSession
 
-__all__ = ["serve_stream", "LineProtocolServer"]
+__all__ = ["serve_stream"]
 
 
 def serve_stream(session: ServiceSession, in_stream: IO[str],
@@ -42,43 +37,3 @@ def serve_stream(session: ServiceSession, in_stream: IO[str],
         if not keep_running:
             break
     return handled
-
-
-class _LineProtocolHandler(socketserver.StreamRequestHandler):
-    """One TCP connection: newline-delimited requests in, responses out."""
-
-    def handle(self) -> None:
-        session: ServiceSession = self.server.session
-        while True:
-            raw = self.rfile.readline()
-            if not raw:
-                return
-            line = raw.decode("utf-8", errors="replace")
-            if not line.strip():
-                continue
-            response, keep_running = session.handle_line(line)
-            self.wfile.write((response + "\n").encode("utf-8"))
-            if not keep_running:
-                # A shutdown request stops the whole server, not just
-                # this connection; shutdown() must run off-thread.
-                threading.Thread(target=self.server.shutdown,
-                                 daemon=True).start()
-                return
-
-
-class LineProtocolServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP front end for a shared :class:`ServiceSession`.
-
-    Bind to port 0 to let the OS pick a free port (``server_address``
-    reports the actual one) — the pattern the tests and the benchmark
-    harness use.  ``serve_forever()`` blocks; call it from a dedicated
-    thread when embedding.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int],
-                 session: Optional[ServiceSession] = None):
-        super().__init__(address, _LineProtocolHandler)
-        self.session = session if session is not None else ServiceSession()

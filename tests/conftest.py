@@ -1,6 +1,10 @@
-"""Shared fixtures: small graphs, couplings and belief matrices used across tests."""
+"""Shared fixtures: small graphs, couplings and belief matrices used across
+tests, and a live TCP server."""
 
 from __future__ import annotations
+
+import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from repro.graphs import (
     sbp_example_graph,
     torus_graph,
 )
+from repro.service import AsyncServiceServer, ServiceSession
 
 
 @pytest.fixture
@@ -68,3 +73,24 @@ def binary_chain_workload():
     beliefs = BeliefMatrix.from_labels({0: 0, 5: 1}, num_nodes=6, num_classes=2,
                                        magnitude=0.1)
     return graph, homophily_matrix(epsilon=0.2), beliefs.residuals
+
+
+@pytest.fixture
+def tcp_server():
+    """A live :class:`AsyncServiceServer` (no coalescing window).
+
+    Its event loop runs on a daemon thread; yields the bound
+    ``(host, port)`` and shuts the server down afterwards.
+    """
+    loop = asyncio.new_event_loop()
+    server = AsyncServiceServer(ServiceSession(window_seconds=0.0))
+    address = loop.run_until_complete(server.start())
+    thread = threading.Thread(target=loop.run_until_complete,
+                              args=(server.serve_until_shutdown(),),
+                              daemon=True)
+    thread.start()
+    yield address
+    loop.call_soon_threadsafe(server.request_shutdown)
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "server loop did not stop"
+    loop.close()

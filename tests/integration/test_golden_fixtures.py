@@ -3,9 +3,9 @@
 ``tests/fixtures/golden/*.json`` holds small deterministic problems with
 their expected final beliefs, iteration counts and convergence flags, as
 computed by the in-memory engines when the fixture was recorded.  One
-parametrized test runs *every* execution path — the batched engine, the
-SQLite backend, and DuckDB when installed — against the same fixture.  Any future
-engine divergence, however subtle, fails here first.
+parametrized test runs *every* execution path — the batched engine and the
+SQLite backend — against the same fixture.  Any future engine divergence,
+however subtle, fails here first.
 
 Regenerate a fixture only for an intentional semantic change, by re-running
 the engines and committing the new JSON alongside the change that explains
@@ -25,15 +25,12 @@ from repro.engine.batch import run_batch
 from repro.engine.plan import get_plan
 from repro.engine.sbp_plan import run_sbp_batch
 from repro.graphs import Graph
-from repro.relational.backends import BACKENDS, get_backend
+from repro.relational import SQLiteBackend
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 FIXTURE_PATHS = sorted(GOLDEN_DIR.glob("*.json"))
 
 TOLERANCE = 1e-10
-
-needs_duckdb = pytest.mark.skipif(not BACKENDS["duckdb"].is_available(),
-                                  reason="duckdb is not installed")
 
 
 @pytest.fixture(params=FIXTURE_PATHS, ids=lambda path: path.stem)
@@ -67,31 +64,23 @@ def _run_batch_engine(golden, echo):
                      tolerance=golden["data"]["tolerance"])[0]
 
 
-def _run_backend_engine(name):
-    def runner(golden, echo):
-        with get_backend(name) as backend:
-            backend.load_graph(golden["graph"], golden["coupling"],
-                               golden["explicit"])
-            return backend.run_linbp(
-                max_iterations=golden["data"]["max_iterations"],
-                tolerance=golden["data"]["tolerance"],
-                echo_cancellation=echo)
-    return runner
+def _run_sqlite_engine(golden, echo):
+    with SQLiteBackend() as backend:
+        backend.load_graph(golden["graph"], golden["coupling"],
+                           golden["explicit"])
+        return backend.run_linbp(
+            max_iterations=golden["data"]["max_iterations"],
+            tolerance=golden["data"]["tolerance"],
+            echo_cancellation=echo)
 
 
 LINBP_ENGINES = {
     "batch": _run_batch_engine,
-    "sqlite": _run_backend_engine("sqlite"),
-    "duckdb": _run_backend_engine("duckdb"),
+    "sqlite": _run_sqlite_engine,
 }
 
-ENGINE_PARAMS = [
-    pytest.param(name, marks=(needs_duckdb,) if name == "duckdb" else ())
-    for name in LINBP_ENGINES
-]
 
-
-@pytest.mark.parametrize("engine", ENGINE_PARAMS)
+@pytest.mark.parametrize("engine", list(LINBP_ENGINES))
 @pytest.mark.parametrize("variant", ["linbp", "linbp_star"])
 def test_linbp_golden(golden, engine, variant):
     expected = golden["data"][variant]
@@ -113,26 +102,20 @@ def _run_sbp_batch_engine(golden):
                          [golden["explicit"]])[0]
 
 
-def _run_sbp_backend(name):
-    def runner(golden):
-        with get_backend(name) as backend:
-            backend.load_graph(golden["graph"], golden["coupling"],
-                               golden["explicit"])
-            return backend.run_sbp()
-    return runner
+def _run_sbp_sqlite(golden):
+    with SQLiteBackend() as backend:
+        backend.load_graph(golden["graph"], golden["coupling"],
+                           golden["explicit"])
+        return backend.run_sbp()
 
 
 SBP_ENGINES = {
     "batch": _run_sbp_batch_engine,
-    "sqlite": _run_sbp_backend("sqlite"),
-    "duckdb": _run_sbp_backend("duckdb"),
+    "sqlite": _run_sbp_sqlite,
 }
 
 
-@pytest.mark.parametrize(
-    "engine",
-    [pytest.param(name, marks=(needs_duckdb,) if name == "duckdb" else ())
-     for name in SBP_ENGINES])
+@pytest.mark.parametrize("engine", list(SBP_ENGINES))
 def test_sbp_golden(golden, engine):
     expected = golden["data"]["sbp"]
     result = SBP_ENGINES[engine](golden)

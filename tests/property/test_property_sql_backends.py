@@ -1,20 +1,17 @@
-"""Cross-backend differential property suite for the SQL execution backends.
+"""Differential property suite for the SQLite execution backend.
 
-The backends under :mod:`repro.relational.backends` claim *identical*
-semantics to the in-memory engines — not just similar beliefs, but the
-same iteration counts and convergence flags, query by query.  These tests
-generate small random graphs, convergent couplings and sparse label sets
-with hypothesis and assert, on every example:
+:class:`~repro.relational.SQLiteBackend` claims *identical* semantics to
+the in-memory engines — not just similar beliefs, but the same iteration
+counts and convergence flags, query by query.  These tests generate small
+random graphs, convergent couplings and sparse label sets with hypothesis
+and assert, on every example:
 
-    run_batch()  ≡  sqlite backend  ≡  duckdb backend
+    run_batch()  ≡  SQLite backend
 
-(DuckDB joins the comparison only when the optional package is installed;
-the SQLite equality must hold everywhere.)  SBP and ΔSBP are compared with
-run_sbp_batch and the in-memory SBP runner the same way.  Beliefs agree
-to 1e-10;
-iteration counts and convergence flags agree exactly, except when the
-deciding sweep's max change lands on the tolerance boundary itself — see
-``_assert_convergence_agrees``.
+SBP and ΔSBP are compared with run_sbp_batch and the in-memory SBP runner
+the same way.  Beliefs agree to 1e-10; iteration counts and convergence
+flags agree exactly, except when the deciding sweep's max change lands on
+the tolerance boundary itself — see ``_assert_convergence_agrees``.
 
 ``derandomize=True`` keeps the suite reproducible in CI: the examples are
 drawn deterministically from the test's source, so a red run is always
@@ -24,7 +21,6 @@ re-runnable locally.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +30,7 @@ from repro.engine.batch import run_batch
 from repro.engine.plan import get_plan
 from repro.engine.sbp_plan import run_sbp_batch
 from repro.graphs import Graph
-from repro.relational.backends import BACKENDS, available_backends, get_backend
+from repro.relational import SQLiteBackend
 
 TOLERANCE = 1e-10
 
@@ -76,7 +72,7 @@ def cross_engine_workloads(draw):
 
 #: A workload whose max belief change lands *on* the 1e-10 stopping
 #: boundary at sweep 10 (run_batch computes 1.0000000134e-10, the SQL
-#: summation order 9.9999999600e-11), so the backends legitimately stop
+#: summation order 9.9999999600e-11), so the two legitimately stop
 #: one sweep apart.  Pinned so the boundary handling below stays covered.
 _BOUNDARY_WORKLOAD = (
     Graph.from_edges([(0, 1)], num_nodes=3),
@@ -86,10 +82,10 @@ _BOUNDARY_WORKLOAD = (
 )
 
 
-def _assert_convergence_agrees(result, reference, name):
+def _assert_convergence_agrees(result, reference):
     """Iteration counts and convergence flags must match — exactly, unless
     the deciding sweep's max belief change sits within float noise of the
-    tolerance.  The backends sum the same update in a different order than
+    tolerance.  The backend sums the same update in a different order than
     the SpMM engine, so a change landing on the 1e-10 boundary can round to
     opposite sides of it and cost (or save) exactly one sweep.  Beliefs
     still agree to TOLERANCE either way; only in that knife-edge case is a
@@ -99,22 +95,22 @@ def _assert_convergence_agrees(result, reference, name):
             and result.converged == reference.converged):
         return
     assert abs(result.iterations - reference.iterations) <= 1, (
-        f"backend {name}: {result.iterations} iterations vs "
+        f"sqlite: {result.iterations} iterations vs "
         f"{reference.iterations} for run_batch — more than a boundary tie")
     deciding = min(result.iterations, reference.iterations) - 1
     for label, history in (("run_batch", reference.residual_history),
-                           (name, result.residual_history)):
+                           ("sqlite", result.residual_history)):
         change = history[deciding]
         assert abs(change - TOLERANCE) <= TOLERANCE * 1e-6, (
             f"{label}: change {change!r} at the deciding sweep is not "
             f"within noise of the tolerance, so iteration counts must "
-            f"match exactly (backend {name}: {result.iterations}, "
+            f"match exactly (sqlite: {result.iterations}, "
             f"run_batch: {reference.iterations})")
 
-def _assert_matches_reference(result, reference, name):
+def _assert_matches_reference(result, reference):
     """Beliefs to TOLERANCE, and the convergence bookkeeping that applies.
 
-    The backends iterate Eq. 6 sweeps.  When ``run_batch`` answered with
+    The backend iterates Eq. 6 sweeps.  When ``run_batch`` answered with
     them too, iteration counts and flags must agree (see above).  When it
     answered by CG (its plan's radius is past the crossover), the counts
     measure different things; the backend ran with the tighter tolerance
@@ -122,10 +118,10 @@ def _assert_matches_reference(result, reference, name):
     """
     np.testing.assert_allclose(
         result.beliefs, reference.beliefs, rtol=0, atol=TOLERANCE,
-        err_msg=f"backend {name} diverges from run_batch "
+        err_msg=f"sqlite diverges from run_batch "
                 f"({reference.extra['solver']})")
     if reference.extra["solver"] == "jacobi":
-        _assert_convergence_agrees(result, reference, name)
+        _assert_convergence_agrees(result, reference)
     else:
         assert result.converged and reference.converged
 
@@ -143,20 +139,12 @@ def _backend_tolerance(reference) -> float:
     return TOLERANCE * (1.0 - radius) / radius
 
 
-#: Backends every example is checked against.  DuckDB is compared only
-#: when installed; its absence must not fail the suite.
-COMPARED_BACKENDS = available_backends()
-
-
-def _backend_results(workload, run):
-    """Run ``run(backend)`` on every compared backend; return name->result."""
+def _sqlite_result(workload, run):
+    """Load ``workload`` into a fresh SQLite backend; return ``run(backend)``."""
     graph, coupling, explicit = workload
-    results = {}
-    for name in COMPARED_BACKENDS:
-        with get_backend(name) as backend:
-            backend.load_graph(graph, coupling, explicit)
-            results[name] = run(backend)
-    return results
+    with SQLiteBackend() as backend:
+        backend.load_graph(graph, coupling, explicit)
+        return run(backend)
 
 
 class TestLinBPDifferential:
@@ -167,12 +155,11 @@ class TestLinBPDifferential:
         reference = run_batch(get_plan(graph, coupling), [explicit],
                               max_iterations=100, tolerance=TOLERANCE)[0]
         tolerance = _backend_tolerance(reference)
-        results = _backend_results(
+        result = _sqlite_result(
             workload,
             lambda backend: backend.run_linbp(max_iterations=100,
                                               tolerance=tolerance))
-        for name, result in results.items():
-            _assert_matches_reference(result, reference, name)
+        _assert_matches_reference(result, reference)
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(cross_engine_workloads(),
@@ -182,18 +169,17 @@ class TestLinBPDifferential:
         graph, coupling, explicit = workload
         reference = run_batch(get_plan(graph, coupling), [explicit],
                               num_iterations=num_iterations)[0]
-        results = _backend_results(
+        result = _sqlite_result(
             workload,
             lambda backend: backend.run_linbp(num_iterations=num_iterations))
-        for name, result in results.items():
-            np.testing.assert_allclose(
-                result.beliefs, reference.beliefs, rtol=0, atol=TOLERANCE,
-                err_msg=f"backend {name} diverges from run_batch after "
-                        f"{num_iterations} fixed iterations")
-            # Fixed budgets always agree on the count; the converged flag
-            # (last change < default tolerance) gets the boundary handling.
-            assert result.iterations == reference.iterations
-            _assert_convergence_agrees(result, reference, name)
+        np.testing.assert_allclose(
+            result.beliefs, reference.beliefs, rtol=0, atol=TOLERANCE,
+            err_msg=f"sqlite diverges from run_batch after "
+                    f"{num_iterations} fixed iterations")
+        # Fixed budgets always agree on the count; the converged flag
+        # (last change < default tolerance) gets the boundary handling.
+        assert result.iterations == reference.iterations
+        _assert_convergence_agrees(result, reference)
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(cross_engine_workloads())
@@ -204,13 +190,12 @@ class TestLinBPDifferential:
             get_plan(graph, coupling, echo_cancellation=False), [explicit],
             max_iterations=100, tolerance=TOLERANCE)[0]
         tolerance = _backend_tolerance(reference)
-        results = _backend_results(
+        result = _sqlite_result(
             workload,
             lambda backend: backend.run_linbp(max_iterations=100,
                                               tolerance=tolerance,
                                               echo_cancellation=False))
-        for name, result in results.items():
-            _assert_matches_reference(result, reference, name)
+        _assert_matches_reference(result, reference)
 
 
 class TestSBPDifferential:
@@ -219,17 +204,15 @@ class TestSBPDifferential:
     def test_backends_match_run_sbp_batch(self, workload):
         graph, coupling, explicit = workload
         reference = run_sbp_batch(graph, coupling, [explicit])[0]
-        results = _backend_results(workload,
-                                   lambda backend: backend.run_sbp())
-        for name, result in results.items():
-            np.testing.assert_allclose(
-                result.beliefs, reference.beliefs, rtol=0, atol=TOLERANCE,
-                err_msg=f"backend {name} diverges from run_sbp_batch")
-            assert result.iterations == reference.iterations
-            assert result.converged is True
-            assert np.array_equal(result.extra["geodesic_numbers"],
-                                  reference.extra["geodesic_numbers"]), (
-                f"backend {name} computed different geodesic numbers")
+        result = _sqlite_result(workload, lambda backend: backend.run_sbp())
+        np.testing.assert_allclose(
+            result.beliefs, reference.beliefs, rtol=0, atol=TOLERANCE,
+            err_msg="sqlite diverges from run_sbp_batch")
+        assert result.iterations == reference.iterations
+        assert result.converged is True
+        assert np.array_equal(result.extra["geodesic_numbers"],
+                              reference.extra["geodesic_numbers"]), (
+            "sqlite computed different geodesic numbers")
 
 
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -237,8 +220,7 @@ class TestSBPDifferential:
     def test_top_beliefs_match_run_sbp_batch(self, workload):
         graph, coupling, explicit = workload
         reference = run_sbp_batch(graph, coupling, [explicit])[0]
-        results = _backend_results(workload,
-                                   lambda backend: backend.run_sbp())
+        result = _sqlite_result(workload, lambda backend: backend.run_sbp())
         # top_beliefs() ties classes within 1e-10 of the row maximum; a
         # class sitting *at* that boundary can land on either side from
         # beliefs that are equal to 1e-10 but not bit-identical.  Skip
@@ -247,12 +229,10 @@ class TestSBPDifferential:
             - reference.beliefs
         ambiguous = np.any((gaps > 1e-11) & (gaps < 1e-9), axis=1)
         expected = reference.top_beliefs()
-        for name, result in results.items():
-            top = result.top_beliefs()
-            for node in np.flatnonzero(~ambiguous):
-                assert top[node] == expected[node], (
-                    f"backend {name}: top-belief sets disagree on node "
-                    f"{node}")
+        top = result.top_beliefs()
+        for node in np.flatnonzero(~ambiguous):
+            assert top[node] == expected[node], (
+                f"sqlite: top-belief sets disagree on node {node}")
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(cross_engine_workloads(), st.data())
@@ -276,21 +256,19 @@ class TestSBPDifferential:
         memory.run(initial)
         references = [memory.add_explicit_beliefs(update),
                       memory.add_edges(new_edges)]
-        for name in COMPARED_BACKENDS:
-            with get_backend(name) as backend:
-                backend.load_graph(graph, coupling, initial)
-                backend.run_sbp()
-                results = [backend.add_explicit_beliefs(update),
-                           backend.add_edges(new_edges)]
-            for result, reference in zip(results, references):
-                np.testing.assert_allclose(
-                    result.beliefs, reference.beliefs, rtol=0,
-                    atol=TOLERANCE,
-                    err_msg=f"backend {name} diverges from SBP's ΔSBP")
-                assert np.array_equal(result.extra["geodesic_numbers"],
-                                      reference.extra["geodesic_numbers"])
-                assert result.extra["nodes_updated"] == \
-                    reference.extra["nodes_updated"]
+        with SQLiteBackend() as backend:
+            backend.load_graph(graph, coupling, initial)
+            backend.run_sbp()
+            results = [backend.add_explicit_beliefs(update),
+                       backend.add_edges(new_edges)]
+        for result, reference in zip(results, references):
+            np.testing.assert_allclose(
+                result.beliefs, reference.beliefs, rtol=0, atol=TOLERANCE,
+                err_msg="sqlite diverges from SBP's ΔSBP")
+            assert np.array_equal(result.extra["geodesic_numbers"],
+                                  reference.extra["geodesic_numbers"])
+            assert result.extra["nodes_updated"] == \
+                reference.extra["nodes_updated"]
 
 
 class TestTopLabelDifferential:
@@ -309,19 +287,9 @@ class TestTopLabelDifferential:
         expected = {node: int(label)
                     for node, label in enumerate(reference.hard_labels())
                     if label >= 0}
-        for name in COMPARED_BACKENDS:
-            with get_backend(name) as backend:
-                backend.load_graph(graph, coupling, explicit)
-                backend.run_linbp(max_iterations=100, tolerance=TOLERANCE,
-                                  materialize=False)
-                assert dict(backend.top_labels()) == expected, (
-                    f"backend {name}: streamed top labels disagree with "
-                    "hard_labels()")
-
-
-def test_duckdb_comparison_status():
-    """Make the DuckDB leg's participation visible in the test report."""
-    if not BACKENDS["duckdb"].is_available():
-        pytest.skip("duckdb not installed; differential suite compared "
-                    "sqlite only")
-    assert "duckdb" in COMPARED_BACKENDS
+        with SQLiteBackend() as backend:
+            backend.load_graph(graph, coupling, explicit)
+            backend.run_linbp(max_iterations=100, tolerance=TOLERANCE,
+                              materialize=False)
+            assert dict(backend.top_labels()) == expected, (
+                "sqlite: streamed top labels disagree with hard_labels()")

@@ -1,11 +1,11 @@
-"""Tests for the pluggable SQL execution backends (selection, state, I/O).
+"""Tests for the SQLite execution backend (gating, state, I/O).
 
-The differential property suite (``tests/property``) proves the backends
-compute the right numbers; this module covers everything around the
-numbers: registry lookup and capability gating, the repro.exceptions
-error surface, transaction rollback on mid-sweep failure, persistence and
-reopening of disk-backed databases, and the out-of-core path that labels a
-streamed graph without ever building a dense belief matrix in Python.
+The differential property suite (``tests/property``) proves the backend
+computes the right numbers; this module covers everything around the
+numbers: the SQLite version gate, the repro.exceptions error surface,
+transaction rollback on mid-sweep failure, persistence and reopening of
+disk-backed databases, and the out-of-core path that labels a streamed
+graph without ever building a dense belief matrix in Python.
 """
 
 from __future__ import annotations
@@ -23,17 +23,10 @@ from repro.exceptions import (
     BackendStateError,
     BackendUnavailableError,
     ReproError,
-    UnknownBackendError,
     ValidationError,
 )
 from repro.graphs import Graph
-from repro.relational import open_backend, run_propagation
-from repro.relational.backends import (
-    BACKENDS,
-    available_backends,
-    backend_info,
-    get_backend,
-)
+from repro.relational import SQLiteBackend, run_propagation
 
 
 @pytest.fixture
@@ -47,50 +40,20 @@ def problem():
     return graph, coupling, explicit.residuals
 
 
-class TestRegistry:
-    def test_sqlite_always_available(self):
-        assert available_backends()[0] == "sqlite"
-        assert set(BACKENDS) == {"sqlite", "duckdb"}
-
-    def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(UnknownBackendError) as excinfo:
-            get_backend("postgres")
-        message = str(excinfo.value)
-        for name in BACKENDS:
-            assert name in message
-        # Callers should also be able to catch it generically.
-        assert isinstance(excinfo.value, ReproError)
-        assert isinstance(excinfo.value, ValueError)
-
-    def test_backend_info_reports_every_backend(self):
-        report = {entry["name"]: entry for entry in backend_info()}
-        assert set(report) == set(BACKENDS)
-        assert report["sqlite"]["available"] is True
-        assert "SQLite" in report["sqlite"]["engine"]
-
-    def test_duckdb_missing_is_an_importerror_with_guidance(self, problem):
-        if BACKENDS["duckdb"].is_available():
-            pytest.skip("duckdb installed; the gating path cannot be hit")
-        graph, coupling, explicit = problem
-        backend = get_backend("duckdb")  # registry lookup must not import
+class TestVersionGate:
+    def test_old_sqlite_is_refused_on_connect(self, monkeypatch):
+        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 32, 3))
+        backend = SQLiteBackend()
         with pytest.raises(BackendUnavailableError) as excinfo:
             backend.connect()
-        assert isinstance(excinfo.value, ImportError)
-        assert "duckdb" in str(excinfo.value)
-        assert "sqlite" in str(excinfo.value)  # points at the fallback
-
-    def test_open_backend_is_the_engine_entry_point(self, problem):
-        graph, coupling, explicit = problem
-        with open_backend("sqlite") as backend:
-            backend.load_graph(graph, coupling, explicit)
-            result = backend.run_linbp()
-        assert result.converged
+        assert isinstance(excinfo.value, ReproError)
+        assert "3.33" in str(excinfo.value)
+        assert "UPDATE ... FROM" in str(excinfo.value)
 
 
 class TestErrorSurface:
-    @pytest.mark.parametrize("name", available_backends())
-    def test_unloaded_backend_raises_state_error(self, name):
-        backend = get_backend(name)
+    def test_unloaded_backend_raises_state_error(self):
+        backend = SQLiteBackend()
         with pytest.raises(BackendStateError):
             backend.run_linbp()
         with pytest.raises(BackendStateError):
@@ -99,17 +62,15 @@ class TestErrorSurface:
             backend.fetch_beliefs()
         backend.close()
 
-    @pytest.mark.parametrize("name", available_backends())
-    def test_bad_explicit_shape_raises_validation_error(self, name, problem):
+    def test_bad_explicit_shape_raises_validation_error(self, problem):
         graph, coupling, _ = problem
-        with get_backend(name) as backend:
+        with SQLiteBackend() as backend:
             with pytest.raises(ValidationError):
                 backend.load_graph(graph, coupling, np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("name", available_backends())
-    def test_bad_iteration_arguments(self, name, problem):
+    def test_bad_iteration_arguments(self, problem):
         graph, coupling, explicit = problem
-        with get_backend(name) as backend:
+        with SQLiteBackend() as backend:
             backend.load_graph(graph, coupling, explicit)
             with pytest.raises(ValidationError):
                 backend.run_linbp(max_iterations=0)
@@ -121,14 +82,13 @@ class TestErrorSurface:
     def test_run_propagation_rejects_unknown_method(self, problem):
         graph, coupling, explicit = problem
         with pytest.raises(ValidationError):
-            run_propagation(graph, coupling, explicit, method="bp",
-                            backend="sqlite")
+            run_propagation(graph, coupling, explicit, method="bp")
 
     def test_run_propagation_dispatches_all_methods(self, problem):
         graph, coupling, explicit = problem
         for method in ("linbp", "linbp*", "sbp"):
             result = run_propagation(graph, coupling, explicit,
-                                     method=method, backend="sqlite")
+                                     method=method)
             assert result.beliefs.shape == (5, 2)
 
 
@@ -155,7 +115,7 @@ class TestTransactions:
                                                             monkeypatch):
         """A sweep that dies mid-iteration must not leave partial beliefs."""
         graph, coupling, explicit = problem
-        backend = get_backend("sqlite")
+        backend = SQLiteBackend()
         backend.load_graph(graph, coupling, explicit)
         first = backend.run_linbp()
         before = backend.fetch_beliefs()
@@ -182,7 +142,7 @@ class TestTransactions:
     def test_failed_load_leaves_previous_graph_intact(self, problem,
                                                       monkeypatch):
         graph, coupling, explicit = problem
-        backend = get_backend("sqlite")
+        backend = SQLiteBackend()
         backend.load_graph(graph, coupling, explicit)
         counts_before = backend.table_counts()
 
@@ -202,11 +162,11 @@ class TestPersistence:
                                                            tmp_path):
         graph, coupling, explicit = problem
         path = str(tmp_path / "graph.db")
-        with get_backend("sqlite", database=path) as backend:
+        with SQLiteBackend(path) as backend:
             backend.load_graph(graph, coupling, explicit)
             original = backend.run_linbp()
         # A brand-new backend over the same file needs no load_graph().
-        with get_backend("sqlite", database=path) as reopened:
+        with SQLiteBackend(path) as reopened:
             assert reopened.is_loaded
             assert reopened.num_nodes == graph.num_nodes
             assert reopened.num_classes == coupling.num_classes
@@ -220,7 +180,7 @@ class TestPersistence:
     def test_reopening_an_empty_database_is_not_loaded(self, tmp_path):
         path = str(tmp_path / "empty.db")
         sqlite3.connect(path).close()
-        with get_backend("sqlite", database=path) as backend:
+        with SQLiteBackend(path) as backend:
             assert not backend.is_loaded
             with pytest.raises(BackendStateError):
                 backend.run_linbp()
@@ -254,7 +214,7 @@ class TestOutOfCore:
                         yield node, cls, float(value)
 
         path = str(tmp_path / "streamed.db")
-        with get_backend("sqlite", database=path) as backend:
+        with SQLiteBackend(path) as backend:
             backend.load_stream(edge_stream(), explicit_stream(), coupling,
                                 graph.num_nodes)
             result = backend.run_linbp(materialize=False)

@@ -5,11 +5,10 @@ from __future__ import annotations
 import io
 import json
 import socket
-import threading
 
 import pytest
 
-from repro.service import LineProtocolServer, ServiceSession, serve_stream
+from repro.service import ServiceSession, serve_stream
 
 
 def _request(**fields) -> str:
@@ -176,24 +175,14 @@ class TestStreamTransport:
 
 
 class TestTCPTransport:
-    @pytest.fixture
-    def server(self):
-        server = LineProtocolServer(("127.0.0.1", 0),
-                                    ServiceSession(window_seconds=0.0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    """The protocol over :class:`AsyncServiceServer` (``tcp_server``)."""
 
-    def _client(self, server):
-        connection = socket.create_connection(server.server_address[:2],
-                                              timeout=10)
+    def _client(self, address):
+        connection = socket.create_connection(address, timeout=10)
         return connection, connection.makefile("rw", encoding="utf-8")
 
-    def test_roundtrip_over_tcp(self, server):
-        connection, stream = self._client(server)
+    def test_roundtrip_over_tcp(self, tcp_server):
+        connection, stream = self._client(tcp_server)
         try:
             stream.write(_request(op="load_graph", name="g",
                                   edges=[[0, 1], [1, 2]]) + "\n")
@@ -209,8 +198,8 @@ class TestTCPTransport:
         finally:
             connection.close()
 
-    def test_state_is_shared_across_connections(self, server):
-        first, first_stream = self._client(server)
+    def test_state_is_shared_across_connections(self, tcp_server):
+        first, first_stream = self._client(tcp_server)
         try:
             first_stream.write(_request(op="load_graph", name="g",
                                         edges=[[0, 1]]) + "\n")
@@ -218,7 +207,7 @@ class TestTCPTransport:
             assert first_stream.readline().startswith("ok graph")
         finally:
             first.close()
-        second, second_stream = self._client(server)
+        second, second_stream = self._client(tcp_server)
         try:
             second_stream.write(_request(op="load_coupling", name="h",
                                          stochastic=[[0.9, 0.1], [0.1, 0.9]],

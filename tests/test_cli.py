@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import socket
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro import BeliefMatrix
 from repro.cli import build_parser, main
 from repro.graphs import Graph, write_belief_table, write_edge_list
+from repro.service import ServiceSession
 
 
 @pytest.fixture
@@ -88,11 +95,13 @@ class TestLabelCommand:
         assert exit_code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_tolerance_reaches_plain_runs(self, cli_files, capsys):
+    @pytest.mark.parametrize("engine", [[], ["--backend", "sqlite"]],
+                             ids=["in-memory", "sqlite"])
+    def test_tolerance_reaches_plain_runs(self, cli_files, capsys, engine):
         graph_path, beliefs_path, coupling_path, _ = cli_files
         base = ["label", "--graph", str(graph_path), "--beliefs",
                 str(beliefs_path), "--coupling", str(coupling_path),
-                "--epsilon", "0.3"]
+                "--epsilon", "0.3", *engine]
 
         def iterations(flags):
             assert main(base + flags) == 0
@@ -161,6 +170,19 @@ class TestLabelBackendCommand:
         assert database.exists()
         assert "left" in capsys.readouterr().out
 
+    def test_database_without_backend_is_refused(self, cli_files, capsys):
+        graph_path, beliefs_path, coupling_path, tmp_path = cli_files
+        database = tmp_path / "graph.db"
+        exit_code = main([
+            "label", "--graph", str(graph_path), "--beliefs",
+            str(beliefs_path), "--coupling", str(coupling_path),
+            "--epsilon", "0.3", "--database", str(database)])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "--database" in captured.err and "--backend" in captured.err
+        assert captured.out == ""
+        assert not database.exists()
+
     def test_backend_rejects_bp_method(self, cli_files, capsys):
         graph_path, beliefs_path, coupling_path, _ = cli_files
         exit_code = main([
@@ -179,32 +201,6 @@ class TestLabelBackendCommand:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_missing_duckdb_reports_clean_error(self, cli_files, capsys):
-        import importlib.util
-        if importlib.util.find_spec("duckdb") is not None:
-            pytest.skip("duckdb installed; the gating path cannot be hit")
-        graph_path, beliefs_path, coupling_path, _ = cli_files
-        exit_code = main([
-            "label", "--graph", str(graph_path), "--beliefs",
-            str(beliefs_path), "--coupling", str(coupling_path),
-            "--epsilon", "0.3", "--backend", "duckdb"])
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")  # not a traceback
-        assert "duckdb" in err
-
-
-class TestSqlInfoCommand:
-    def test_reports_every_backend(self, capsys):
-        exit_code = main(["sql-info"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        for name in ("sqlite", "duckdb"):
-            assert name in out
-        assert "SQLite" in out
-        # duckdb is either installed or reported unavailable - never an error
-        assert "available" in out
-
 
 class TestRetiredFlags:
     @pytest.mark.parametrize("argv", [
@@ -213,6 +209,9 @@ class TestRetiredFlags:
         ["label", "--graph", "g", "--beliefs", "b", "--coupling", "c",
          "--precision", "strict"],
         ["backends"],
+        ["sql-info"],
+        ["label", "--graph", "g", "--beliefs", "b", "--coupling", "c",
+         "--backend", "duckdb"],
     ])
     def test_rejected_by_parser(self, capsys, argv):
         with pytest.raises(SystemExit):
@@ -292,29 +291,75 @@ class TestServeCommand:
         assert exit_code == 0
         assert "metrics on http://127.0.0.1:" in captured.err
 
+    @pytest.mark.parametrize("flags", [[], ["--async"]],
+                             ids=["port", "port-async"])
+    def test_port_serves_tcp_until_shutdown(self, flags):
+        """``serve --port 0`` as a child process: ready line, v1 replies
+        equal to an in-process session's, and exit 0 on ``shutdown``.
+
+        ``stats`` is checked by field: its plan-cache counters are
+        process-wide, so they differ from this process's."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--window-ms", "0", *flags],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, env=env)
+        requests = [
+            {"v": 1, "op": "load_graph", "name": "g",
+             "edges": [[0, 1], [1, 2], [2, 3]]},
+            {"v": 1, "op": "load_coupling", "name": "h",
+             "stochastic": [[0.9, 0.1], [0.1, 0.9]], "epsilon": 0.2},
+            {"v": 1, "op": "query", "graph": "g", "coupling": "h",
+             "beliefs": [[0, 0, 0.1], [0, 1, -0.1]]},
+            {"v": 1, "op": "stats"},
+        ]
+        reference = ServiceSession(window_seconds=0.0)
+        expected = [reference.handle_line(json.dumps(request))[0]
+                    for request in requests[:3]]
+        # A server that hangs is killed, which ends every read below.
+        watchdog = threading.Timer(60, process.kill)
+        watchdog.start()
+        try:
+            address = None
+            for line in process.stderr:
+                match = re.search(r"listening on (\S+):(\d+)", line)
+                if match:
+                    address = (match.group(1), int(match.group(2)))
+                    break
+            assert address is not None, "serve printed no listening line"
+            with socket.create_connection(address, timeout=30) as connection, \
+                    connection.makefile("rw", encoding="utf-8") as stream:
+                replies = []
+                for request in requests + [{"op": "shutdown"}]:
+                    stream.write(json.dumps(request) + "\n")
+                    stream.flush()
+                    replies.append(stream.readline().rstrip("\n"))
+            assert replies[:3] == expected
+            query, stats = json.loads(replies[2]), json.loads(replies[3])
+            assert query["ok"] and query["converged"]
+            assert [label for _, label in query["labels"]] == ["class0"] * 4
+            assert stats["ok"]
+            assert stats["stats"]["queries"] == 1
+            assert stats["stats"]["graphs"] == {"g": 0}
+            assert stats["stats"]["result_cache"]["misses"] == 1
+            assert replies[-1] == "ok bye"
+            assert process.wait(timeout=30) == 0
+        finally:
+            watchdog.cancel()
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stderr.close()
+
 
 class TestStatsCommand:
-    @pytest.fixture
-    def server(self):
-        import threading
+    """``repro stats`` against a live server (the ``tcp_server`` fixture)."""
 
-        from repro.service import ServiceSession
-        from repro.service.server import LineProtocolServer
-
-        server = LineProtocolServer(("127.0.0.1", 0),
-                                    ServiceSession(window_seconds=0.0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-    def _load_and_query(self, server):
-        import socket
-
-        with socket.create_connection(server.server_address[:2],
-                                      timeout=10) as connection:
+    def _load_and_query(self, address):
+        with socket.create_connection(address, timeout=10) as connection:
             stream = connection.makefile("rw", encoding="utf-8")
             for request in (
                     {"op": "load_graph", "name": "g", "edges": [[0, 1], [1, 2]]},
@@ -339,17 +384,17 @@ class TestStatsCommand:
         assert not args.prometheus
         assert not args.json
 
-    def test_stats_tree_from_live_server(self, server, capsys):
-        self._load_and_query(server)
-        port = str(server.server_address[1])
+    def test_stats_tree_from_live_server(self, tcp_server, capsys):
+        self._load_and_query(tcp_server)
+        port = str(tcp_server[1])
         exit_code = main(["stats", "--port", port])
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "queries: 1" in out
 
-    def test_metrics_prometheus_from_live_server(self, server, capsys):
-        self._load_and_query(server)
-        port = str(server.server_address[1])
+    def test_metrics_prometheus_from_live_server(self, tcp_server, capsys):
+        self._load_and_query(tcp_server)
+        port = str(tcp_server[1])
         exit_code = main(["stats", "--port", port, "--metrics",
                           "--prometheus"])
         out = capsys.readouterr().out
@@ -357,8 +402,8 @@ class TestStatsCommand:
         assert "# TYPE repro_service_queries_total counter" in out
         assert 'repro_service_queries_total{graph="g"} 1' in out
 
-    def test_stats_json_is_the_raw_reply(self, server, capsys):
-        port = str(server.server_address[1])
+    def test_stats_json_is_the_raw_reply(self, tcp_server, capsys):
+        port = str(tcp_server[1])
         exit_code = main(["stats", "--port", port, "--json"])
         out = capsys.readouterr().out
         assert exit_code == 0
@@ -367,8 +412,6 @@ class TestStatsCommand:
         assert "stats" in reply
 
     def test_unreachable_server_reports_error(self, capsys):
-        import socket
-
         # Grab a free port, close it, and point the CLI at the dead port.
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
