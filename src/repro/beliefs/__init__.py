@@ -3,6 +3,8 @@
 from repro.beliefs.beliefs import (
     BeliefMatrix,
     center_probability_matrix,
+    checked_explicit,
+    checked_update,
     explicit_beliefs_from_labels,
     explicit_residuals_from_labels,
     standardize,
@@ -13,6 +15,8 @@ from repro.beliefs.beliefs import (
 __all__ = [
     "BeliefMatrix",
     "center_probability_matrix",
+    "checked_explicit",
+    "checked_update",
     "explicit_beliefs_from_labels",
     "explicit_residuals_from_labels",
     "standardize",

@@ -15,12 +15,14 @@ The paper distinguishes
 
 :class:`BeliefMatrix` wraps an ``n x k`` residual matrix and offers these
 views; :func:`explicit_beliefs_from_labels` builds priors from hard labels.
+Every runner, the SQLite backend and the service take ``Ê`` through
+:func:`checked_explicit` and updates to it through :func:`checked_update`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +34,8 @@ __all__ = [
     "uncenter_residual_matrix",
     "explicit_beliefs_from_labels",
     "explicit_residuals_from_labels",
+    "checked_explicit",
+    "checked_update",
     "top_belief_sets",
     "BeliefMatrix",
 ]
@@ -123,6 +127,83 @@ def explicit_residuals_from_labels(labels: Mapping[int, int], num_nodes: int,
         residuals[node, :] = off_value
         residuals[node, label] = magnitude
     return residuals
+
+
+def _require_finite(rows: np.ndarray, nodes) -> None:
+    """Reject the first NaN or ±Infinity cell, naming its node and class."""
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        row, klass = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"belief value {rows[row, klass]} for node {nodes[row]} "
+            f"class {klass} is not finite")
+
+
+def checked_explicit(explicit, num_nodes: int,
+                     num_classes: Optional[int]) -> np.ndarray:
+    """Explicit beliefs ``Ê`` as a checked ``n x k`` float64 matrix.
+
+    A matrix that is not numeric, not ``num_nodes x num_classes`` (any
+    column count when ``num_classes`` is None) or holds a NaN or
+    ±Infinity cell is a :class:`ValidationError` naming the shape or the
+    first offending cell.  Returns the input itself when it already is
+    float64, a cast copy otherwise.
+    """
+    try:
+        matrix = np.asarray(explicit, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "explicit beliefs must be a numeric matrix") from None
+    if matrix.ndim != 2 or matrix.shape[0] != num_nodes or (
+            num_classes is not None and matrix.shape[1] != num_classes):
+        raise ValidationError(
+            f"explicit beliefs must be a {num_nodes} x "
+            f"{'k' if num_classes is None else num_classes} matrix, "
+            f"got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        _require_finite(matrix, range(num_nodes))
+    return matrix
+
+
+def checked_update(update, num_nodes: int, num_classes: Optional[int]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """An update to ``Ê`` as checked ``(nodes, rows)`` arrays.
+
+    ``update`` is a ``node -> row`` mapping, which updates every listed
+    node in mapping order (a zero row clears that node's label), or an
+    ``n x k`` matrix whose non-zero rows are the update, in ascending
+    node order.  Every node and row is checked before anything is
+    returned: a node outside ``[0, num_nodes)``, a row of the wrong
+    length (rows of any one length when ``num_classes`` is None) or a
+    non-finite cell is a :class:`ValidationError` naming it.
+    """
+    if not isinstance(update, Mapping):
+        matrix = checked_explicit(update, num_nodes, num_classes)
+        nodes = np.flatnonzero(np.any(matrix != 0.0, axis=1))
+        return nodes, matrix[nodes]
+    rows: Dict[int, np.ndarray] = {}
+    for node, vector in update.items():
+        try:
+            index = int(node)
+            row = np.asarray(vector, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"node {node!r} needs an integer id and a numeric "
+                "belief vector") from None
+        if not 0 <= index < num_nodes:
+            raise ValidationError(f"node {node} out of range [0, {num_nodes})")
+        if num_classes is None and row.ndim == 1:
+            num_classes = row.size
+        if row.shape != (num_classes,):
+            raise ValidationError(
+                f"belief vector for node {node} must have length "
+                f"{num_classes}")
+        _require_finite(row[None, :], [node])
+        rows[index] = row
+    nodes = np.fromiter(rows, dtype=np.int64, count=len(rows))
+    if not rows:
+        return nodes, np.zeros((0, num_classes or 0))
+    return nodes, np.vstack(list(rows.values()))
 
 
 def top_belief_sets(beliefs: np.ndarray,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
@@ -646,6 +647,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro label … | head``).  Point
+        # stdout at devnull so the interpreter's final flush stays quiet,
+        # and exit 1, as Python's ``signal`` documentation recommends.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -16,7 +16,6 @@ from repro.core.convergence import (
     sufficient_norm_bound_linbp_star,
 )
 from repro.core.estimation import CouplingEstimate, estimate_coupling
-from repro.core.events import UpdateEvent, UpdateNotifier
 from repro.core.fabp import binary_coupling, fabp, fabp_batch, fabp_closed_form
 from repro.core.incremental import IncrementalLinBP
 from repro.core.linbp import LinBP, linbp, linbp_closed_form, linbp_star
@@ -41,8 +40,6 @@ __all__ = [
     "sufficient_norm_bound_linbp_star",
     "CouplingEstimate",
     "estimate_coupling",
-    "UpdateEvent",
-    "UpdateNotifier",
     "IncrementalLinBP",
     "binary_coupling",
     "fabp",

@@ -28,7 +28,11 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.beliefs.beliefs import center_probability_matrix, uncenter_residual_matrix
+from repro.beliefs.beliefs import (
+    center_probability_matrix,
+    checked_explicit,
+    uncenter_residual_matrix,
+)
 from repro.coupling.matrices import CouplingMatrix
 from repro.core.results import PropagationResult
 from repro.exceptions import ValidationError
@@ -125,8 +129,8 @@ class BeliefPropagation:
             their residuals around 1 are exactly the ``m̂`` of the derivation
             in Section 4 — used by the tests that validate Lemmas 5 and 6.
         """
-        residuals = np.asarray(explicit_residuals, dtype=float)
-        self._check_shape(residuals)
+        residuals = checked_explicit(explicit_residuals, self.graph.num_nodes,
+                                     self.coupling.num_classes)
         priors = uncenter_residual_matrix(residuals)
         if np.any(priors < -1e-12):
             raise ValidationError(
@@ -195,17 +199,6 @@ class BeliefPropagation:
         sums = unnormalized.sum(axis=1, keepdims=True)
         sums = np.where(sums <= 0.0, 1.0, sums)
         return unnormalized / sums
-
-    def _check_shape(self, residuals: np.ndarray) -> None:
-        if residuals.ndim != 2:
-            raise ValidationError("explicit beliefs must be a 2-D matrix")
-        if residuals.shape[0] != self.graph.num_nodes:
-            raise ValidationError(
-                f"expected {self.graph.num_nodes} rows, got {residuals.shape[0]}")
-        if residuals.shape[1] != self.coupling.num_classes:
-            raise ValidationError(
-                f"expected {self.coupling.num_classes} columns, "
-                f"got {residuals.shape[1]}")
 
 
 def belief_propagation(graph: Graph, coupling: CouplingMatrix,

@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.beliefs.beliefs import checked_explicit, checked_update
 from repro.coupling.matrices import CouplingMatrix
-from repro.core.events import UpdateNotifier
 from repro.core.linbp import LinBP
 from repro.core.results import PropagationResult
 from repro.exceptions import ValidationError
@@ -40,7 +40,7 @@ from repro.graphs.graph import Edge, Graph
 __all__ = ["IncrementalLinBP"]
 
 
-class IncrementalLinBP(UpdateNotifier):
+class IncrementalLinBP:
     """Maintain a LinBP solution under label and edge updates.
 
     Parameters
@@ -60,7 +60,9 @@ class IncrementalLinBP(UpdateNotifier):
     fixed point ``B̂``; :meth:`add_explicit_beliefs` and :meth:`add_edges`
     update both in place and return the usual
     :class:`~repro.core.results.PropagationResult`, whose
-    ``extra['update_iterations']`` records how much work the update needed.
+    ``extra['update_iterations']`` records how much work the update needed
+    (and, for label updates, ``extra['nodes_updated']`` how many label
+    rows changed).
     """
 
     def __init__(self, graph: Graph, coupling: CouplingMatrix,
@@ -100,11 +102,11 @@ class IncrementalLinBP(UpdateNotifier):
     # ------------------------------------------------------------------ #
     def run(self, explicit_residuals: np.ndarray) -> PropagationResult:
         """Solve the system from scratch and remember the solution."""
-        explicit = self._check_shape(explicit_residuals)
+        explicit = checked_explicit(explicit_residuals, self.graph.num_nodes,
+                                    self.coupling.num_classes)
         result = self._solver.run(explicit)
         self._explicit = explicit.copy()
         self._beliefs = result.beliefs.copy()
-        self._notify_update("run", self._method_name())
         return self._package(result, update_iterations=result.iterations)
 
     # ------------------------------------------------------------------ #
@@ -114,22 +116,26 @@ class IncrementalLinBP(UpdateNotifier):
         """Add (or change) explicit beliefs without re-solving for old labels.
 
         ``new_residuals`` is either a mapping ``node -> new residual row`` or
-        a full matrix whose non-zero rows are the new values.  Rows given here
-        *replace* the node's previous explicit beliefs; the correction solved
-        for is the difference.
+        a full matrix whose non-zero rows are the new values
+        (:func:`repro.beliefs.checked_update`).  Rows given here *replace*
+        the node's previous explicit beliefs; the correction solved for is
+        the difference, and ``extra['nodes_updated']`` counts the rows it
+        changes.
         """
         self._require_state()
-        delta = self._delta_from(new_residuals)
-        if not np.any(delta):
-            return self._package_current(update_iterations=0)
+        nodes, rows = checked_update(new_residuals, self.graph.num_nodes,
+                                     self.coupling.num_classes)
+        delta = np.zeros_like(self._explicit)
+        delta[nodes] = rows - self._explicit[nodes]
+        changed = int(np.count_nonzero(np.any(delta != 0.0, axis=1)))
+        if not changed:
+            return self._package_current(update_iterations=0, nodes_updated=0)
         correction = self._solver.run(delta)
         self._explicit = self._explicit + delta
         self._beliefs = self._beliefs + correction.beliefs
-        self._notify_update("explicit_beliefs", self._method_name(),
-                            nodes_updated=int(np.count_nonzero(
-                                np.any(delta != 0.0, axis=1))))
         return self._package_current(update_iterations=correction.iterations,
-                                     converged=correction.converged)
+                                     converged=correction.converged,
+                                     nodes_updated=changed)
 
     # ------------------------------------------------------------------ #
     # incremental edge updates (warm start)
@@ -155,45 +161,15 @@ class IncrementalLinBP(UpdateNotifier):
                              tolerance=self.tolerance)
         warm = self._solver.run(self._explicit, initial_beliefs=self._beliefs)
         self._beliefs = warm.beliefs.copy()
-        self._notify_update("edges", self._method_name(),
-                            num_edges=len(edges))
         return self._package_current(update_iterations=warm.iterations,
                                      converged=warm.converged)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _method_name(self) -> str:
-        return "LinBP (incremental)" if self.echo_cancellation \
-            else "LinBP* (incremental)"
-
     def _require_state(self) -> None:
         if self._beliefs is None or self._explicit is None:
             raise ValidationError("call run() before incremental updates")
-
-    def _check_shape(self, matrix: np.ndarray) -> np.ndarray:
-        array = np.asarray(matrix, dtype=float)
-        expected = (self.graph.num_nodes, self.coupling.num_classes)
-        if array.shape != expected:
-            raise ValidationError(f"expected a matrix of shape {expected}, "
-                                  f"got {array.shape}")
-        return array
-
-    def _delta_from(self, new_residuals: Mapping[int, np.ndarray] | np.ndarray) -> np.ndarray:
-        k = self.coupling.num_classes
-        delta = np.zeros_like(self._explicit)
-        if isinstance(new_residuals, Mapping):
-            for node, vector in new_residuals.items():
-                array = np.asarray(vector, dtype=float)
-                if array.shape != (k,):
-                    raise ValidationError(
-                        f"belief vector for node {node} must have length {k}")
-                delta[int(node)] = array - self._explicit[int(node)]
-            return delta
-        matrix = self._check_shape(new_residuals)
-        changed = np.any(matrix != 0.0, axis=1)
-        delta[changed] = matrix[changed] - self._explicit[changed]
-        return delta
 
     def _package(self, result: PropagationResult, update_iterations: int,
                  converged: Optional[bool] = None) -> PropagationResult:
@@ -210,7 +186,8 @@ class IncrementalLinBP(UpdateNotifier):
         )
 
     def _package_current(self, update_iterations: int,
-                         converged: bool = True) -> PropagationResult:
+                         converged: bool = True,
+                         **extra: object) -> PropagationResult:
         return PropagationResult(
             beliefs=self._beliefs.copy(),
             method="LinBP (incremental)" if self.echo_cancellation
@@ -220,5 +197,5 @@ class IncrementalLinBP(UpdateNotifier):
             residual_history=[],
             extra={"update_iterations": update_iterations,
                    "echo_cancellation": self.echo_cancellation,
-                   "epsilon": self.coupling.epsilon},
+                   "epsilon": self.coupling.epsilon, **extra},
         )

@@ -39,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.beliefs.beliefs import checked_explicit
 from repro.coupling.matrices import CouplingMatrix
 from repro.core.results import PropagationResult
 from repro.engine import batch as engine_batch
@@ -154,7 +155,8 @@ class LinBP:
         .spsolve``.  Because ``vec`` stacks *columns*, the vectorised unknown
         is ``B̂`` flattened in Fortran (column-major) order.
         """
-        explicit = self._check_explicit(explicit_residuals)
+        explicit = checked_explicit(explicit_residuals, self.plan.num_nodes,
+                                    self.plan.num_classes)
         n, k = explicit.shape
         identity = sp.identity(n * k, format="csr")
         system = identity - sp.kron(sp.csr_matrix(self._residual),
@@ -189,9 +191,6 @@ class LinBP:
         Cached on the underlying plan, so repeated checks are free.
         """
         return self.plan.update_spectral_radius()
-
-    def _check_explicit(self, explicit_residuals: np.ndarray) -> np.ndarray:
-        return self.plan.check_explicit(explicit_residuals)
 
 
 # ---------------------------------------------------------------------- #

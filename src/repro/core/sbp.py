@@ -34,21 +34,21 @@ can be propagated together with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.beliefs.beliefs import checked_explicit, checked_update
 from repro.coupling.matrices import CouplingMatrix
-from repro.core.events import UpdateNotifier
 from repro.core.results import PropagationResult
 from repro.engine import sbp_plan as engine_sbp
 from repro.exceptions import ValidationError
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.graph import Edge, Graph, edge_columns
 
 __all__ = ["SBP", "sbp"]
 
 
-class SBP(UpdateNotifier):
+class SBP:
     """Single-pass BP runner with incremental update support.
 
     Parameters
@@ -87,14 +87,14 @@ class SBP(UpdateNotifier):
         products.  Nodes that cannot reach any labeled node keep all-zero
         beliefs and geodesic number :data:`repro.graphs.geodesic.UNREACHABLE`.
         """
-        explicit = self._check_explicit(explicit_residuals)
+        explicit = checked_explicit(explicit_residuals, self.graph.num_nodes,
+                                    self.coupling.num_classes)
         labeled = np.nonzero(np.any(explicit != 0.0, axis=1))[0]
         plan = engine_sbp.get_sbp_plan(self.graph, labeled)
         beliefs, edges_touched = plan.propagate(explicit, self._residual)
         self._geodesic = plan.geodesic_numbers.copy()
         self._beliefs = beliefs
         self._explicit = explicit.copy()
-        self._notify_update("run", "SBP")
         return self._result(edges_touched=edges_touched)
 
     # ------------------------------------------------------------------ #
@@ -107,9 +107,10 @@ class SBP(UpdateNotifier):
         ----------
         new_residuals:
             Either a mapping ``node -> residual vector`` or a full ``n x k``
-            matrix whose non-zero rows are the new explicit beliefs.  All
-            nodes and vectors are validated *before* any state is touched,
-            so a malformed update leaves the runner unchanged.
+            matrix whose non-zero rows are the new explicit beliefs
+            (:func:`repro.beliefs.checked_update`).  All nodes and vectors
+            are validated *before* any state is touched, so a malformed
+            update leaves the runner unchanged.
 
         Returns
         -------
@@ -120,17 +121,13 @@ class SBP(UpdateNotifier):
             recomputation (Fig. 7e).
         """
         self._require_state()
-        updates = self._normalize_updates(new_residuals)
-        if not updates:
+        nodes, vectors = checked_update(new_residuals, self.graph.num_nodes,
+                                        self.coupling.num_classes)
+        if not nodes.size:
             return self._result(edges_touched=0, nodes_updated=0)
-        nodes = np.fromiter(updates.keys(), dtype=np.int64, count=len(updates))
-        vectors = np.vstack([updates[int(node)] for node in nodes])
         stats = engine_sbp.repair_explicit_beliefs(
             self.graph.adjacency, self._geodesic, self._beliefs,
             self._explicit, self._residual, nodes, vectors)
-        self._notify_update("explicit_beliefs", "SBP",
-                            nodes_updated=stats.nodes_updated,
-                            num_labels=len(updates))
         return self._result(edges_touched=stats.edges_touched,
                             nodes_updated=stats.nodes_updated)
 
@@ -155,20 +152,18 @@ class SBP(UpdateNotifier):
         the repair's invariants.
         """
         self._require_state()
-        edges = self._normalize_edges(new_edges)
+        edges = list(new_edges)
         if not edges:
             return self._result(edges_touched=0, nodes_updated=0)
-        # Line 1: update the adjacency matrix.
-        self.graph = updated_graph if updated_graph is not None \
+        # Line 1: update the adjacency matrix (building it validates the
+        # edges before any state is touched).
+        graph = updated_graph if updated_graph is not None \
             else self.graph.with_edges_added(edges)
-        sources = np.array([edge.source for edge in edges], dtype=np.int64)
-        targets = np.array([edge.target for edge in edges], dtype=np.int64)
+        sources, targets, _ = edge_columns(edges)
+        self.graph = graph
         stats = engine_sbp.repair_added_edges(
             self.graph.adjacency, self._geodesic, self._beliefs,
             self._explicit, self._residual, sources, targets)
-        self._notify_update("edges", "SBP",
-                            nodes_updated=stats.nodes_updated,
-                            num_edges=len(edges))
         return self._result(edges_touched=stats.edges_touched,
                             nodes_updated=stats.nodes_updated)
 
@@ -212,60 +207,6 @@ class SBP(UpdateNotifier):
         if self._beliefs is None or self._geodesic is None or self._explicit is None:
             raise ValidationError("call run() before using incremental updates "
                                   "or accessing state")
-
-    def _check_explicit(self, explicit_residuals: np.ndarray) -> np.ndarray:
-        explicit = np.asarray(explicit_residuals, dtype=float)
-        if explicit.ndim != 2:
-            raise ValidationError("explicit beliefs must be a 2-D matrix")
-        if explicit.shape[0] != self.graph.num_nodes:
-            raise ValidationError(
-                f"expected {self.graph.num_nodes} rows, got {explicit.shape[0]}")
-        if explicit.shape[1] != self.coupling.num_classes:
-            raise ValidationError(
-                f"expected {self.coupling.num_classes} columns, "
-                f"got {explicit.shape[1]}")
-        return explicit
-
-    def _normalize_updates(self, new_residuals: Mapping[int, np.ndarray] | np.ndarray) -> Dict[int, np.ndarray]:
-        k = self.coupling.num_classes
-        n = self.graph.num_nodes
-        updates: Dict[int, np.ndarray] = {}
-        if isinstance(new_residuals, Mapping):
-            # Validate every node index and vector before returning, so the
-            # caller never mutates state from a partially valid mapping (a
-            # negative index would otherwise silently address from the end
-            # of the belief matrix, an overflowing one would raise after
-            # earlier entries were already applied).
-            for node, vector in new_residuals.items():
-                index = int(node)
-                if index < 0 or index >= n:
-                    raise ValidationError(
-                        f"node {node} out of range [0, {n})")
-                array = np.asarray(vector, dtype=float)
-                if array.shape != (k,):
-                    raise ValidationError(
-                        f"belief vector for node {node} must have length {k}")
-                updates[index] = array
-            return updates
-        matrix = np.asarray(new_residuals, dtype=float)
-        if matrix.shape != (n, k):
-            raise ValidationError(
-                f"expected a {n} x {k} matrix of new beliefs")
-        for node in np.nonzero(np.any(matrix != 0.0, axis=1))[0]:
-            updates[int(node)] = matrix[node]
-        return updates
-
-    @staticmethod
-    def _normalize_edges(new_edges: Iterable) -> List[Edge]:
-        edges: List[Edge] = []
-        for item in new_edges:
-            if isinstance(item, Edge):
-                edges.append(item)
-            elif len(item) == 2:
-                edges.append(Edge(int(item[0]), int(item[1]), 1.0))
-            else:
-                edges.append(Edge(int(item[0]), int(item[1]), float(item[2])))
-        return edges
 
 
 def sbp(graph: Graph, coupling: CouplingMatrix,

@@ -50,6 +50,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.beliefs.beliefs import checked_explicit
 from repro.core.results import PropagationResult
 from repro.engine import kernels
 from repro.engine.plan import PropagationPlan
@@ -74,8 +75,8 @@ SWEEPS = counter("repro_engine_sweeps_total",
 #: at ``ρ = 0.43``; a batch of 16, the coalescer's largest, meets it near
 #: ``ρ = 0.3`` on #3 and ``0.25`` on #4 and runs 1.2-1.35x faster at
 #: ``0.43``.  From this radius CG is at least as fast at every width,
-#: and the plan's ∞-norm bound (one pass over ``A``) usually decides a
-#: plan below it without an eigensolve.
+#: and the plan's radius bound (``ρ(Ĥ)`` and one pass over ``A``) usually
+#: decides a plan below it without an eigensolve.
 CG_MIN_RADIUS = 0.4
 
 
@@ -85,14 +86,14 @@ def solver_radius(plan: PropagationPlan) -> Optional[float]:
     None means Eq. 6 Jacobi sweeps answer: an ``Ĥ`` that is not exactly
     symmetric, a radius below :data:`CG_MIN_RADIUS` (Jacobi is cheaper)
     or at least one (``L`` is not positive definite).  The cheap bound
-    goes first: ``plan.operator_infinity_norm()`` bounds ``ρ`` from
+    goes first: ``plan.update_radius_bound()`` bounds ``ρ`` from
     above, so when it is below the crossover the plan never pays the
     eigensolve; only when it cannot decide does the plan's cached
     Lemma 8 radius.
     """
     if not plan.is_symmetric:
         return None
-    if plan.operator_infinity_norm() < CG_MIN_RADIUS:
+    if plan.update_radius_bound() < CG_MIN_RADIUS:
         return None
     radius = plan.update_spectral_radius()
     if CG_MIN_RADIUS <= radius < 1.0:
@@ -144,11 +145,11 @@ class BatchWorkspace:
             raise ValidationError(
                 f"expected {self.num_queries} explicit matrices, "
                 f"got {len(explicit_list)}")
-        k = self.plan.num_classes
+        n, k = self.plan.num_nodes, self.plan.num_classes
         self._front[...] = 0.0
-        checked = [self.plan.check_explicit(explicit)
+        checked = [checked_explicit(explicit, n, k)
                    for explicit in explicit_list]
-        if self.plan.num_nodes:
+        if n:
             np.concatenate(checked, axis=1, out=self._explicit)
         if initial_beliefs is not None:
             for query, start in enumerate(initial_beliefs):

@@ -109,7 +109,7 @@ class PropagationPlan:
             and np.array_equal(self.residual_squared,
                                self.residual_squared.T))
         self._update_spectral_radius: Optional[float] = None
-        self._operator_infinity_norm: Optional[float] = None
+        self._update_radius_bound: Optional[float] = None
         self._eigenbasis: Optional[
             Tuple[np.ndarray, Tuple[sp.csr_matrix, ...]]] = None
 
@@ -163,23 +163,24 @@ class PropagationPlan:
                     * _update_radius(self.adjacency))
         return self._update_spectral_radius
 
-    def operator_infinity_norm(self) -> float:
-        """``‖Ĥᵀ⊗A − (Ĥ²)ᵀ⊗D‖∞`` — magnitude bound of one update sweep.
+    def update_radius_bound(self) -> float:
+        """``ρ(Ĥ)·‖A‖∞ + ρ(Ĥ)²·‖d‖∞`` — an upper bound on the Lemma 8 radius.
 
-        The ∞-norm of the LinBP update operator: how much one sweep can
-        amplify the *magnitude* of the belief block (``‖A‖∞·‖Ĥ‖∞ +
-        ‖d‖∞·‖Ĥ²‖∞``; the echo term enters additively because the norm
-        is submultiplicative, not signed).  It bounds the Lemma 8 radius
-        from above in one pass over ``A``, which lets
-        :func:`repro.engine.batch.solver_radius` skip the eigensolve.
-        Lazy and cached like the radius.
+        A Schur form ``Ĥ = UTUᴴ`` makes the update matrix ``Ĥ⊗A − Ĥ²⊗D``
+        similar to a block-triangular one whose diagonal blocks are
+        ``λ_c·A − λ_c²·D``, one per eigenvalue of ``Ĥ``; the ∞-norm of
+        each block is at most ``|λ_c|·‖A‖∞ + |λ_c|²·‖d‖∞``.  So the bound
+        holds for any ``Ĥ`` (``ρ(Ĥ)·‖A‖∞`` for LinBP*, where the echo term
+        vanishes), costs the ``k x k`` eigenvalues of ``Ĥ`` and one pass
+        over ``A``, and lets :func:`repro.engine.batch.solver_radius` skip
+        the eigensolve.  Lazy and cached like the radius.
 
         ``‖A‖∞`` is the largest row sum ``A·1``: every validated
         :class:`Graph` has non-negative weights.  Only a graph built with
         ``validate=False`` can carry a negative weight, and only then are
         the absolute values summed instead.
         """
-        if self._operator_infinity_norm is None:
+        if self._update_radius_bound is None:
             adjacency = self.adjacency
             adjacency_norm = 0.0
             if adjacency.nnz:
@@ -187,15 +188,12 @@ class PropagationPlan:
                     adjacency = abs(adjacency)
                 adjacency_norm = float(
                     (adjacency @ np.ones(adjacency.shape[1])).max())
-            norm = adjacency_norm * float(
-                np.abs(self.residual).sum(axis=1).max())
-            if self.echo_cancellation:
-                degree_norm = float(self.degrees.max()) \
-                    if self.degrees.size else 0.0
-                norm += degree_norm * \
-                    float(np.abs(self.residual_squared).sum(axis=1).max())
-            self._operator_infinity_norm = norm
-        return self._operator_infinity_norm
+            coupling_radius = self.coupling.spectral_radius()
+            bound = coupling_radius * adjacency_norm
+            if self.echo_cancellation and self.degrees.size:
+                bound += coupling_radius ** 2 * float(self.degrees.max())
+            self._update_radius_bound = bound
+        return self._update_radius_bound
 
     def eigenbasis(self) -> Tuple[np.ndarray, Tuple[sp.csr_matrix, ...]]:
         """``Q`` with ``Ĥ = QΛQᵀ``, and the ``k`` per-class systems ``M_c``.
@@ -230,26 +228,6 @@ class PropagationPlan:
     def is_exactly_convergent(self) -> bool:
         """Exact Lemma 8 criterion: the iteration converges iff radius < 1."""
         return self.update_spectral_radius() < 1.0
-
-    # ------------------------------------------------------------------ #
-    # validation
-    # ------------------------------------------------------------------ #
-    def check_explicit(self, explicit_residuals: np.ndarray) -> np.ndarray:
-        """Validate one ``n x k`` explicit-belief matrix against the plan.
-
-        Returns the matrix as float64 (a view when it already is, a cast
-        copy otherwise).
-        """
-        explicit = np.asarray(explicit_residuals, dtype=np.float64)
-        if explicit.ndim != 2:
-            raise ValidationError("explicit beliefs must be a 2-D matrix")
-        if explicit.shape[0] != self.num_nodes:
-            raise ValidationError(
-                f"expected {self.num_nodes} rows, got {explicit.shape[0]}")
-        if explicit.shape[1] != self.num_classes:
-            raise ValidationError(
-                f"expected {self.num_classes} columns, got {explicit.shape[1]}")
-        return explicit
 
 
 #: Below this order the update matrix is assembled densely for the radius:

@@ -36,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.beliefs.beliefs import checked_explicit
 from repro.coupling.matrices import CouplingMatrix
 from repro.core.results import PropagationResult
 from repro.engine import kernels
@@ -233,14 +234,9 @@ def run_sbp_batch(graph: Graph, coupling: CouplingMatrix,
     """
     if len(explicit_list) == 0:
         return []
-    n, k = graph.num_nodes, coupling.num_classes
-    checked: List[np.ndarray] = []
-    for explicit in explicit_list:
-        matrix = np.ascontiguousarray(explicit, dtype=np.float64)
-        if matrix.shape != (n, k):
-            raise ValidationError(
-                f"every explicit matrix must be {n} x {k}, got {matrix.shape}")
-        checked.append(matrix)
+    k = coupling.num_classes
+    checked = [checked_explicit(explicit, graph.num_nodes, k)
+               for explicit in explicit_list]
     groups: "OrderedDict[bytes, Tuple[np.ndarray, List[int]]]" = OrderedDict()
     for index, matrix in enumerate(checked):
         labeled = np.nonzero(np.any(matrix != 0.0, axis=1))[0]

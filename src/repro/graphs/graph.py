@@ -56,7 +56,7 @@ class Edge:
 EdgeLike = Union[Tuple[int, int], Tuple[int, int, float], Edge]
 
 
-def _edge_columns(edges: Iterable[EdgeLike]
+def edge_columns(edges: Iterable[EdgeLike]
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sources, targets (int64) and weights (float64), in input order.
 
@@ -156,7 +156,7 @@ def _unique_edges(edges: Iterable[EdgeLike], num_nodes: Optional[int]
     ``None``), the distinct pairs as sorted arrays with ``low < high``,
     and each input edge's pair index and weight, in input order.
     """
-    sources, targets, weights = _edge_columns(edges)
+    sources, targets, weights = edge_columns(edges)
     _check_edges(sources, targets, weights)
     max_node = int(max(sources.max(), targets.max())) if sources.size else -1
     n = num_nodes if num_nodes is not None else max_node + 1

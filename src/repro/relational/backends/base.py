@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 import scipy.sparse as sp
 
+from repro.beliefs.beliefs import checked_explicit, checked_update
 from repro.core.results import PropagationResult
 from repro.coupling.matrices import CouplingMatrix
 from repro.engine.sbp_plan import (
@@ -431,12 +432,8 @@ class SQLiteBackend:
     def load_graph(self, graph: Graph, coupling: CouplingMatrix,
                    explicit_residuals: np.ndarray) -> None:
         """Load an in-memory :class:`Graph` (convenience over load_stream)."""
-        explicit = np.asarray(explicit_residuals, dtype=float)
-        if explicit.shape != (graph.num_nodes, coupling.num_classes):
-            raise ValidationError(
-                f"explicit beliefs must be "
-                f"{graph.num_nodes} x {coupling.num_classes}, "
-                f"got {explicit.shape}")
+        explicit = checked_explicit(explicit_residuals, graph.num_nodes,
+                                    coupling.num_classes)
         labeled = np.nonzero(np.any(explicit != 0.0, axis=1))[0]
         explicit_rows = ((int(node), int(cls), float(explicit[node, cls]))
                          for node in labeled
@@ -624,24 +621,19 @@ class SQLiteBackend:
         :meth:`repro.core.sbp.SBP.add_explicit_beliefs` does.
         """
         self._require_sbp_state()
-        matrix = np.asarray(new_residuals, dtype=float)
-        if matrix.shape != (self.num_nodes, self.num_classes):
-            raise ValidationError(
-                f"new beliefs must be {self.num_nodes} x {self.num_classes}, "
-                f"got {matrix.shape}")
-        nodes = np.nonzero(np.any(matrix != 0.0, axis=1))[0]
+        nodes, rows = checked_update(new_residuals, self.num_nodes,
+                                     self.num_classes)
         graph, geodesic, beliefs, explicit, residual = self._sbp_state()
         if nodes.size == 0:
             return self._sbp_result(beliefs, geodesic, nodes_updated=0)
         stats = repair_explicit_beliefs(graph.adjacency, geodesic, beliefs,
-                                        explicit, residual, nodes,
-                                        matrix[nodes])
+                                        explicit, residual, nodes, rows)
         with self._transaction() as cursor:
             cursor.executemany("DELETE FROM explicit WHERE v = ?",
                                [(int(node),) for node in nodes])
             cursor.executemany(
                 "INSERT INTO explicit (v, c, b) VALUES (?, ?, ?)",
-                self._rows(matrix, nodes))
+                self._rows(nodes, rows))
             self._write_repair(cursor, stats, geodesic, beliefs)
         return self._sbp_result(beliefs, geodesic,
                                 nodes_updated=stats.nodes_updated)
@@ -711,13 +703,12 @@ class SQLiteBackend:
                 residual)
 
     @staticmethod
-    def _rows(matrix: np.ndarray, nodes: np.ndarray
+    def _rows(nodes: np.ndarray, values: np.ndarray
               ) -> List[Tuple[int, int, float]]:
-        """``(node, class, value)`` rows of ``matrix`` for ``nodes``."""
+        """``(node, class, value)`` rows of ``nodes`` and their ``values``."""
         return [(node, klass, value)
-                for node, values in zip(nodes.tolist(),
-                                        matrix[nodes].tolist())
-                for klass, value in enumerate(values)]
+                for node, row in zip(nodes.tolist(), values.tolist())
+                for klass, value in enumerate(row)]
 
     def _write_repair(self, cursor, stats: RepairStats, geodesic: np.ndarray,
                       beliefs: np.ndarray) -> None:
@@ -736,7 +727,7 @@ class SQLiteBackend:
             "INSERT INTO geodesic (v, g) VALUES (?, ?)",
             list(zip(touched.tolist(), geodesic[touched].tolist())))
         cursor.executemany("INSERT INTO beliefs (v, c, b) VALUES (?, ?, ?)",
-                           self._rows(beliefs, touched))
+                           self._rows(touched, beliefs[touched]))
 
     # ------------------------------------------------------------------ #
     # reading results back

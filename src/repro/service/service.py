@@ -49,7 +49,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -58,6 +57,7 @@ from typing import (
 
 import numpy as np
 
+from repro.beliefs.beliefs import checked_explicit, checked_update
 from repro.core.incremental import IncrementalLinBP
 from repro.core.results import PropagationResult
 from repro.core.sbp import SBP
@@ -80,30 +80,6 @@ __all__ = ["GraphSnapshot", "PropagationService"]
 RESULT_CACHE_LOOKUPS = counter(
     "repro_service_result_cache_lookups_total",
     "Result-cache probes on the query path, by outcome (hit/miss).")
-
-
-def _require_finite(beliefs: Union[Mapping[int, np.ndarray], np.ndarray]
-                    ) -> None:
-    """Reject NaN or ±Infinity beliefs, naming the first offending cell.
-
-    ``beliefs`` is an ``n × k`` matrix or a ``node -> vector`` mapping,
-    the two shapes :meth:`PropagationService.update` accepts.
-    """
-    if isinstance(beliefs, Mapping):
-        rows = ((node, np.asarray(vector, dtype=float).ravel())
-                for node, vector in beliefs.items())
-    else:
-        matrix = np.atleast_2d(np.asarray(beliefs, dtype=float))
-        if np.isfinite(matrix).all():
-            return
-        rows = enumerate(matrix)
-    for node, row in rows:
-        bad = np.flatnonzero(~np.isfinite(row))
-        if bad.size:
-            klass = int(bad[0])
-            raise ValidationError(
-                f"belief value {row[klass]} for node {node} class {klass} "
-                "is not finite")
 
 
 def _check_config_value(key: str, value: object) -> None:
@@ -163,8 +139,10 @@ class _MaintainedView:
     """A named, incrementally maintained propagation result.
 
     Wraps one of the existing maintained runners — :class:`SBP` for the
-    single-pass family, :class:`IncrementalLinBP` for the LinBP family —
-    and relies on their update hooks for change accounting.
+    single-pass family, :class:`IncrementalLinBP` for the LinBP family.
+    ``nodes_updated_total`` sums the ``extra["nodes_updated"]`` of the
+    update results: nodes repaired by ΔSBP, label rows changed by a LinBP
+    superposition, nothing for a LinBP warm restart.
     """
 
     def __init__(self, name: str, method: str, runner):
@@ -173,11 +151,11 @@ class _MaintainedView:
         self.runner = runner
         self.last_result: Optional[PropagationResult] = None
         self.nodes_updated_total = 0
-        runner.add_update_hook(self._on_update)
 
-    def _on_update(self, event) -> None:
-        if event.nodes_updated is not None:
-            self.nodes_updated_total += int(event.nodes_updated)
+    def record(self, result: PropagationResult) -> None:
+        """Keep an update's result and add its ``nodes_updated``."""
+        self.last_result = result
+        self.nodes_updated_total += int(result.extra.get("nodes_updated", 0))
 
 
 class _GraphEntry:
@@ -502,13 +480,9 @@ class PropagationService:
         num_iterations = spec.num_iterations
         entry = self._entry(graph_name)
         snapshot = entry.snapshot
-        explicit = np.ascontiguousarray(explicit_residuals, dtype=np.float64)
-        expected = (snapshot.graph.num_nodes, coupling.num_classes)
-        if explicit.shape != expected:
-            raise ValidationError(
-                f"explicit beliefs must have shape {expected}, "
-                f"got {explicit.shape}")
-        _require_finite(explicit)
+        explicit = checked_explicit(explicit_residuals,
+                                    snapshot.graph.num_nodes,
+                                    coupling.num_classes)
         self._m_queries.inc(graph=graph_name)
         params = spec.solver_params()
         coupling_id = engine_plan.coupling_key(coupling)
@@ -573,10 +547,10 @@ class PropagationService:
         (LinBP family); edge insertions ride the Algorithm 4 repair or a
         warm-started iteration.  Views pin their *own* graph lineage —
         they evolve with the updates applied through this service, in
-        lock step with the snapshot version.  Non-finite explicit beliefs
-        raise :class:`ValidationError` before the view is created.
+        lock step with the snapshot version.  Malformed or non-finite
+        explicit beliefs raise :class:`ValidationError` (from the runner's
+        first solve) before the view is created.
         """
-        _require_finite(explicit_residuals)
         if method not in _METHODS:
             raise ValidationError(
                 f"unknown method {method!r}; expected one of "
@@ -639,15 +613,15 @@ class PropagationService:
 
         Both inputs are validated *before* any view is touched (the
         successor graph is built first, so malformed edges raise before
-        any repair runs, and belief shapes are checked against every
-        view up front) — a rejected update leaves the service exactly as
-        it was.  Non-finite ``new_beliefs`` are rejected the same way.
+        any repair runs, and ``new_beliefs`` goes through
+        :func:`repro.beliefs.checked_update` for every view up front, or
+        once when the graph has no view) — a rejected update, including
+        one with a non-finite belief, leaves the service exactly as it
+        was.
         """
         if new_beliefs is None and new_edges is None:
             raise ValidationError(
                 "update() needs new_beliefs and/or new_edges")
-        if new_beliefs is not None:
-            _require_finite(new_beliefs)
         entry = self._entry(graph_name)
         with entry.lock:
             old = entry.snapshot
@@ -661,56 +635,29 @@ class PropagationService:
                 # (ids, weights, self-loops) before any view mutates.
                 graph = graph.with_edges_added(edges)
             if new_beliefs is not None:
-                for view in entry.views.values():
-                    self._check_belief_update(old.graph, view, new_beliefs)
+                # Checked for every view's k (for any k on a graph with
+                # no view) before any view mutates.
+                classes = [view.runner.coupling.num_classes
+                           for view in entry.views.values()]
+                for num_classes in classes or [None]:
+                    checked_update(new_beliefs, graph.num_nodes, num_classes)
             if edges is not None:
                 # Every view repairs against the one successor graph built
                 # above: the snapshot and all maintained runners share a
                 # single Graph object, so the engine's id()-keyed plan
                 # caches serve view repairs and one-shot queries alike.
                 for view in entry.views.values():
-                    view.last_result = view.runner.add_edges(
-                        edges, updated_graph=graph)
+                    view.record(view.runner.add_edges(
+                        edges, updated_graph=graph))
             if new_beliefs is not None:
                 for view in entry.views.values():
-                    view.last_result = \
-                        view.runner.add_explicit_beliefs(new_beliefs)
+                    view.record(view.runner.add_explicit_beliefs(new_beliefs))
             snapshot = GraphSnapshot(name=graph_name,
                                      version=old.version + 1, graph=graph)
             self._install_snapshot(entry, snapshot)
             self._m_updates.inc(graph=graph_name)
             self._m_snapshot_version.set(snapshot.version, graph=graph_name)
         return snapshot
-
-    @staticmethod
-    def _check_belief_update(graph: Graph, view: _MaintainedView,
-                             new_beliefs: Union[Dict[int, np.ndarray],
-                                                np.ndarray]) -> None:
-        """Reject a belief update that any view's runner would refuse.
-
-        Runs the same shape/range checks as the runners' own
-        ``add_explicit_beliefs`` validation, but against *every* view
-        before *any* of them mutates — so a malformed update cannot be
-        half-applied across views (or land after the edge repairs).
-        """
-        num_classes = view.runner.coupling.num_classes
-        if isinstance(new_beliefs, Mapping):
-            for node, vector in new_beliefs.items():
-                index = int(node)
-                if index < 0 or index >= graph.num_nodes:
-                    raise ValidationError(
-                        f"node {node} out of range [0, {graph.num_nodes})")
-                if np.asarray(vector, dtype=float).shape != (num_classes,):
-                    raise ValidationError(
-                        f"belief vector for node {node} must have "
-                        f"length {num_classes}")
-            return
-        matrix = np.asarray(new_beliefs, dtype=float)
-        expected = (graph.num_nodes, num_classes)
-        if matrix.shape != expected:
-            raise ValidationError(
-                f"expected a {expected[0]} x {expected[1]} matrix of "
-                f"new beliefs for view {view.name!r}")
 
     # ------------------------------------------------------------------ #
     # introspection

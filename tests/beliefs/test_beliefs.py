@@ -8,6 +8,8 @@ import pytest
 from repro.beliefs import (
     BeliefMatrix,
     center_probability_matrix,
+    checked_explicit,
+    checked_update,
     explicit_beliefs_from_labels,
     explicit_residuals_from_labels,
     standardize,
@@ -157,3 +159,81 @@ class TestBeliefMatrix:
     def test_requires_2d(self):
         with pytest.raises(ValidationError):
             BeliefMatrix(np.zeros(4))
+
+
+class TestCheckedExplicit:
+    def test_float64_input_comes_back_as_is(self):
+        explicit = np.zeros((4, 3))
+        assert checked_explicit(explicit, 4, 3) is explicit
+        promoted = checked_explicit(np.zeros((4, 3), dtype=np.int64), 4, 3)
+        assert promoted.dtype == np.float64
+
+    @pytest.mark.parametrize("explicit, fragment", [
+        (np.zeros((4, 2)), "must be a 4 x 3 matrix, got shape (4, 2)"),
+        (np.zeros((3, 3)), "must be a 4 x 3 matrix, got shape (3, 3)"),
+        (np.zeros(12), "got shape (12,)"),
+        ([["a", "b", "c"]] * 4, "must be a numeric matrix"),
+    ])
+    def test_wrong_shapes_and_values_are_named(self, explicit, fragment):
+        with pytest.raises(ValidationError) as raised:
+            checked_explicit(explicit, 4, 3)
+        assert fragment in str(raised.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_cell_is_named(self, value):
+        explicit = np.zeros((4, 3))
+        explicit[2, 1] = value
+        explicit[3, 0] = value
+        with pytest.raises(ValidationError,
+                           match=f"belief value {value} for node 2 class 1 "
+                                 "is not finite"):
+            checked_explicit(explicit, 4, 3)
+
+    def test_any_column_count_without_num_classes(self):
+        assert checked_explicit(np.zeros((4, 5)), 4, None).shape == (4, 5)
+        with pytest.raises(ValidationError, match="4 x k matrix"):
+            checked_explicit(np.zeros((3, 5)), 4, None)
+
+
+class TestCheckedUpdate:
+    def test_matrix_gives_its_non_zero_rows_in_ascending_order(self):
+        update = np.zeros((5, 3))
+        update[4] = [0.2, -0.1, -0.1]
+        update[1] = [-0.1, 0.2, -0.1]
+        nodes, rows = checked_update(update, 5, 3)
+        assert nodes.tolist() == [1, 4]
+        assert np.array_equal(rows, update[[1, 4]])
+
+    def test_mapping_keeps_its_order_and_its_zero_rows(self):
+        update = {3: [0.2, -0.1, -0.1], 0: np.zeros(3), 2.0: (1, 0, -1)}
+        nodes, rows = checked_update(update, 5, 3)
+        assert nodes.dtype == np.int64 and nodes.tolist() == [3, 0, 2]
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, [[0.2, -0.1, -0.1], [0, 0, 0], [1, 0, -1]])
+
+    def test_empty_updates(self):
+        for update in ({}, np.zeros((5, 3))):
+            nodes, rows = checked_update(update, 5, 3)
+            assert nodes.size == 0 and rows.shape == (0, 3)
+
+    @pytest.mark.parametrize("update, fragment", [
+        ({-1: [0.2, -0.1, -0.1]}, "node -1 out of range [0, 5)"),
+        ({5: [0.2, -0.1, -0.1]}, "node 5 out of range [0, 5)"),
+        ({1: [0.2, -0.2]}, "belief vector for node 1 must have length 3"),
+        ({"x": [0.2, -0.1, -0.1]}, "node 'x' needs an integer id"),
+        ({1: ["a", 0, 0]}, "node 1 needs an integer id and a numeric"),
+        ({1: [0.1, 0.0, 0.0], 4: [0.0, np.nan, 0.0]},
+         "belief value nan for node 4 class 1 is not finite"),
+        (np.zeros((4, 3)), "must be a 5 x 3 matrix, got shape (4, 3)"),
+    ])
+    def test_malformed_updates_are_named(self, update, fragment):
+        with pytest.raises(ValidationError) as raised:
+            checked_update(update, 5, 3)
+        assert fragment in str(raised.value)
+
+    def test_any_row_length_without_num_classes(self):
+        nodes, rows = checked_update({1: [1.0, -1.0], 2: [0.5, -0.5]}, 5,
+                                     None)
+        assert nodes.tolist() == [1, 2] and rows.shape == (2, 2)
+        with pytest.raises(ValidationError, match="must have length 2"):
+            checked_update({1: [1.0, -1.0], 2: [1.0, 0.0, -1.0]}, 5, None)

@@ -19,6 +19,7 @@ from repro.coupling import CouplingMatrix
 from repro.datasets import kronecker_suite
 from repro.engine import BatchWorkspace, clear_plan_cache, get_plan, run_batch
 from repro.engine.batch import CG_MIN_RADIUS
+from repro.graphs import Graph
 
 TOLERANCE = 1e-10
 
@@ -247,8 +248,28 @@ class TestSolverChoice:
         (result,) = run_batch(plan, [workload.explicit])
         assert result.extra["solver"] == "jacobi"
         assert "error_bound" not in result.extra
-        assert plan.operator_infinity_norm() < CG_MIN_RADIUS
+        assert plan.update_radius_bound() < CG_MIN_RADIUS
         assert plan._update_spectral_radius is None
+
+    def test_path_plan_runs_jacobi_without_an_eigensolve(self):
+        # On a path the ∞-norm form ‖Ĥ‖∞·‖A‖∞ + ‖Ĥ²‖∞·‖d‖∞ reads 0.46,
+        # above the crossover, while ρ = 0.345: the bound through ρ(Ĥ)
+        # decides the plan without the eigensolve, which ARPACK
+        # converges on slowly for a path's spectrum.
+        n = 500
+        graph = Graph.from_edges([(node, node + 1) for node in range(n - 1)])
+        residual = np.array([[0.2, -0.1, -0.1], [-0.1, 0.2, -0.1],
+                             [-0.1, -0.1, 0.2]])
+        plan = get_plan(graph, CouplingMatrix.from_residual(residual,
+                                                            epsilon=0.5))
+        explicit = np.zeros((n, 3))
+        explicit[0] = [0.2, -0.1, -0.1]
+        explicit[n - 1] = [-0.1, -0.1, 0.2]
+        (result,) = run_batch(plan, [explicit])
+        assert result.extra["solver"] == "jacobi"
+        assert result.converged
+        assert plan._update_spectral_radius is None
+        assert plan.update_radius_bound() == pytest.approx(0.345)
 
     def test_pinned_iterations_run_jacobi_sweeps(self, suite):
         workload = suite[0]
@@ -287,11 +308,11 @@ class TestSolverChoice:
         assert get_plan(workload.graph, symmetric).is_symmetric
 
     def test_radius_below_the_crossover_runs_jacobi(self, suite):
-        # The ∞-norm bound cannot decide here, so the eigensolve runs and
+        # The radius bound cannot decide here, so the eigensolve runs and
         # finds the radius below the crossover.
         workload = suite[0]
         plan = get_plan(workload.graph, _near_limit(workload, 0.2))
-        assert plan.operator_infinity_norm() >= CG_MIN_RADIUS
+        assert plan.update_radius_bound() >= CG_MIN_RADIUS
         (result,) = run_batch(plan, [workload.explicit])
         assert plan.update_spectral_radius() < CG_MIN_RADIUS
         assert result.extra["solver"] == "jacobi"

@@ -95,11 +95,11 @@ class TestPlanArtifacts:
         plan = PropagationPlan(workload.graph, coupling,
                                echo_cancellation=echo)
         expected = abs(workload.graph.adjacency).sum(axis=1).max() \
-            * np.abs(coupling.residual).sum(axis=1).max()
+            * coupling.spectral_radius()
         if echo:
             expected += workload.graph.degree_vector().max() \
-                * np.abs(coupling.residual_squared).sum(axis=1).max()
-        assert plan.operator_infinity_norm() == expected
+                * coupling.spectral_radius() ** 2
+        assert plan.update_radius_bound() == expected
 
     def test_infinity_norm_bounds_the_radius_with_a_negative_weight(self):
         # Node 0 has edges of weight +1 and -1: its signed row sum is 0,
@@ -117,7 +117,7 @@ class TestPlanArtifacts:
                 signed_norm += plan.degrees.max() \
                     * np.abs(plan.residual_squared).sum(axis=1).max()
             radius = plan.update_spectral_radius()
-            assert signed_norm < radius <= plan.operator_infinity_norm()
+            assert signed_norm < radius <= plan.update_radius_bound()
 
 
 class TestPlanCache:

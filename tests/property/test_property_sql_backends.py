@@ -81,6 +81,20 @@ _BOUNDARY_WORKLOAD = (
     np.array([[0.1, -0.1], [0.0, 0.0], [0.0, 0.0]]),
 )
 
+#: A path 0–2–1 whose end labels are mirror images, so node 2's classes
+#: 0 and 2 tie exactly in run_batch (both 0.011359498706903233) and
+#: hard_labels() takes class 0 by its lowest-id rule, while SQLite's
+#: summation order puts class 2 one ulp ahead.  Pinned so the tie rule
+#: of the top-label test stays covered.
+_TIED_TOP_WORKLOAD = (
+    Graph.from_edges([(0, 2), (2, 1)], num_nodes=3),
+    CouplingMatrix.from_residual(
+        np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0],
+                  [-1.0, -1.0, 2.0]]) / 3.0, epsilon=0.1310227205910763),
+    np.array([[2.0, -1.0, -1.0], [-1.0, -1.0, 2.0], [0.0, 0.0, 0.0]])
+    * 0.08823814699152238,
+)
+
 
 def _assert_convergence_agrees(result, reference):
     """Iteration counts and convergence flags must match — exactly, unless
@@ -274,22 +288,34 @@ class TestSBPDifferential:
 class TestTopLabelDifferential:
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(cross_engine_workloads())
+    @example(_TIED_TOP_WORKLOAD)
     def test_streamed_top_labels_match_hard_labels(self, workload):
         """The in-database argmax query equals PropagationResult.hard_labels.
 
         ``top_labels()`` is the out-of-core path — it must agree with the
         dense argmax on every graph, including nodes with all-zero beliefs
-        (omitted by the stream, −1 in ``hard_labels``).
+        (omitted by the stream, −1 in ``hard_labels``).  On a row whose
+        top two beliefs lie within 1e-9 the two engines sum in different
+        orders and may rank either class first, so either is accepted
+        there; every other row must match exactly.
         """
         graph, coupling, explicit = workload
         reference = run_batch(get_plan(graph, coupling), [explicit],
                               max_iterations=100, tolerance=TOLERANCE)[0]
-        expected = {node: int(label)
-                    for node, label in enumerate(reference.hard_labels())
-                    if label >= 0}
+        labels = reference.hard_labels()
         with SQLiteBackend() as backend:
             backend.load_graph(graph, coupling, explicit)
             backend.run_linbp(max_iterations=100, tolerance=TOLERANCE,
                               materialize=False)
-            assert dict(backend.top_labels()) == expected, (
-                "sqlite: streamed top labels disagree with hard_labels()")
+            streamed = dict(backend.top_labels())
+        assert set(streamed) == set(np.flatnonzero(labels >= 0).tolist()), (
+            "sqlite: streamed top labels cover other nodes than "
+            "hard_labels()")
+        order = np.argsort(-reference.beliefs, axis=1, kind="stable")
+        for node, label in streamed.items():
+            first, second = reference.beliefs[node, order[node, :2]]
+            accepted = set(order[node, :2].tolist()) \
+                if first - second <= 1e-9 else {int(labels[node])}
+            assert label in accepted, (
+                f"sqlite: streamed top label {label} of node {node} is not "
+                f"in {sorted(accepted)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import IncrementalLinBP, UpdateEvent, linbp, sbp
+from repro.core import IncrementalLinBP, linbp, sbp
 from repro.core.sbp import SBP
 from repro.coupling import synthetic_residual_matrix
 from repro.engine import clear_plan_cache
@@ -155,7 +155,7 @@ class TestMaintainedViews:
         merged[3] = new_labels[3]
         fresh = sbp(graph, coupling, merged)
         assert np.abs(maintained.beliefs - fresh.beliefs).max() < 1e-10
-        # The hook-fed repair accounting is visible through stats().
+        # The update results' repair accounting is visible through stats().
         view_stats = service.stats()["views"]["g"]["v"]
         assert view_stats["method"] == "sbp"
         assert view_stats["nodes_updated_total"] >= 1
@@ -371,30 +371,66 @@ class TestNonFiniteBeliefs:
         assert np.array_equal(after[4], before[4])
 
 
-class TestUpdateHooks:
-    """The core runners' hooks that the service's accounting builds on."""
+    @pytest.mark.parametrize("new_beliefs, fragment", [
+        ({7: [0.1, -np.inf, 0.0]}, "node 7 class 1 is not finite"),
+        (np.full((40, 3), np.nan), "node 0 class 0 is not finite"),
+        ({40: [0.1, -0.05, -0.05]}, "node 40 out of range"),
+        (np.zeros((39, 3)), "got shape (39, 3)"),
+    ], ids=["inf-mapping", "nan-matrix", "node-n", "short-matrix"])
+    def test_update_without_views_rejects_without_bumping_the_version(
+            self, new_beliefs, fragment):
+        graph, _, _ = _workload(1)
+        service = PropagationService(window_seconds=0.0)
+        service.register_graph("g", graph)
+        with pytest.raises(ValidationError) as raised:
+            service.update("g", new_beliefs=new_beliefs, new_edges=[(0, 1)])
+        assert fragment in str(raised.value)
+        assert service.snapshot("g").version == 0
+        assert service.snapshot("g").graph is graph
+        assert service.stats()["updates"] == 0
 
-    def test_sbp_hooks_fire_per_mutation(self):
+
+class TestUpdateAccounting:
+    """``stats()`` sums the ``nodes_updated`` the update results carry."""
+
+    def test_update_results_carry_nodes_updated(self):
         graph, coupling, explicit_list = _workload(1)
+        label = {2: np.array([0.1, -0.05, -0.05])}
         runner = SBP(graph, coupling)
-        events = []
-        runner.add_update_hook(events.append)
-        runner.run(explicit_list[0])
-        runner.add_explicit_beliefs({2: np.array([0.1, -0.05, -0.05])})
-        runner.add_edges([(0, 9)])
-        kinds = [event.kind for event in events]
-        assert kinds == ["run", "explicit_beliefs", "edges"]
-        assert all(isinstance(event, UpdateEvent) for event in events)
-        assert events[1].nodes_updated >= 1
+        assert "nodes_updated" not in runner.run(explicit_list[0]).extra
+        assert runner.add_explicit_beliefs(label).extra["nodes_updated"] >= 1
+        assert runner.add_edges([(0, 9)]).extra["nodes_updated"] >= 0
+        maintainer = IncrementalLinBP(graph, coupling)
+        assert "nodes_updated" not in maintainer.run(explicit_list[0]).extra
+        assert maintainer.add_explicit_beliefs(label) \
+            .extra["nodes_updated"] == 1
+        # The same row again changes no label.
+        assert maintainer.add_explicit_beliefs(label) \
+            .extra["nodes_updated"] == 0
+        assert "nodes_updated" not in maintainer.add_edges([(0, 9)]).extra
 
-    def test_incremental_linbp_hooks_fire_per_mutation(self):
+    def test_view_totals_over_a_label_then_an_edge_update(self):
         graph, coupling, explicit_list = _workload(1)
-        runner = IncrementalLinBP(graph, coupling)
-        events = []
-        runner.add_update_hook(events.append)
-        runner.run(explicit_list[0])
-        runner.add_explicit_beliefs({2: np.array([0.1, -0.05, -0.05])})
-        runner.add_edges([(0, 9)])
-        assert [event.kind for event in events] == \
-            ["run", "explicit_beliefs", "edges"]
-        runner.remove_update_hook(lambda event: None)  # unknown hook: no-op
+        explicit = explicit_list[0]
+        labels = np.zeros_like(explicit)
+        labels[3] = [0.1, -0.05, -0.05]
+        labels[8] = [-0.05, 0.1, -0.05]
+        edges = [(0, 21), (5, 30)]
+        service = PropagationService(window_seconds=0.0)
+        service.register_graph("g", graph)
+        service.create_view("g", "sbp-view", coupling, explicit)
+        service.create_view("g", "linbp-view", coupling, explicit,
+                            method="linbp")
+        service.update("g", new_beliefs=labels)
+        service.update("g", new_edges=edges)
+        reference = SBP(graph, coupling)
+        reference.run(explicit)
+        repaired = reference.add_explicit_beliefs(labels) \
+            .extra["nodes_updated"] \
+            + reference.add_edges(edges).extra["nodes_updated"]
+        views = service.stats()["views"]["g"]
+        # ΔSBP adds the nodes each repair touched; a LinBP view adds the
+        # label rows a superposition changed and nothing for a warm
+        # restart after new edges.
+        assert views["sbp-view"]["nodes_updated_total"] == repaired == 11
+        assert views["linbp-view"]["nodes_updated_total"] == 2

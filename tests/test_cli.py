@@ -87,6 +87,42 @@ class TestLabelCommand:
         captured = capsys.readouterr()
         assert "more nodes" in captured.out
 
+    def test_closed_pipe_ends_without_a_traceback(self, tmp_path):
+        """``repro label … --limit 0 | head -1``: the reader closes the pipe
+        while the child still prints labels, and the child ends quietly."""
+        num_nodes = 30_001
+        graph = Graph.from_edges([(node, node + 1)
+                                  for node in range(num_nodes - 1)])
+        explicit = BeliefMatrix.from_labels({0: 0, num_nodes - 1: 1},
+                                            num_nodes=num_nodes,
+                                            num_classes=2, magnitude=0.1)
+        write_edge_list(graph, tmp_path / "graph.tsv")
+        write_belief_table(explicit.residuals, tmp_path / "beliefs.tsv")
+        (tmp_path / "coupling.json").write_text(
+            json.dumps({"stochastic": [[0.8, 0.2], [0.2, 0.8]]}))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "label",
+             "--graph", str(tmp_path / "graph.tsv"),
+             "--beliefs", str(tmp_path / "beliefs.tsv"),
+             "--coupling", str(tmp_path / "coupling.json"),
+             "--epsilon", "0.1", "--limit", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        watchdog = threading.Timer(60, process.kill)
+        watchdog.start()
+        try:
+            assert process.stdout.readline()
+            process.stdout.close()
+            stderr = process.stderr.read().decode()
+            process.wait()
+        finally:
+            watchdog.cancel()
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+        assert process.returncode == 1
+
     def test_missing_file_reports_error(self, cli_files, capsys):
         _, beliefs_path, coupling_path, tmp_path = cli_files
         exit_code = main([
