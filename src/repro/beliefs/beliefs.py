@@ -131,9 +131,9 @@ def explicit_residuals_from_labels(labels: Mapping[int, int], num_nodes: int,
 
 def _require_finite(rows: np.ndarray, nodes) -> None:
     """Reject the first NaN or ±Infinity cell, naming its node and class."""
-    bad = ~np.isfinite(rows)
-    if bad.any():
-        row, klass = np.argwhere(bad)[0]
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, klass = np.argwhere(~finite)[0]
         raise ValidationError(
             f"belief value {rows[row, klass]} for node {nodes[row]} "
             f"class {klass} is not finite")
@@ -160,8 +160,7 @@ def checked_explicit(explicit, num_nodes: int,
             f"explicit beliefs must be a {num_nodes} x "
             f"{'k' if num_classes is None else num_classes} matrix, "
             f"got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        _require_finite(matrix, range(num_nodes))
+    _require_finite(matrix, range(num_nodes))
     return matrix
 
 
