@@ -19,10 +19,16 @@ bench_record.py --smoke``) the graph shrinks and the threshold relaxes:
 shared runners coalesce just as well but time far too noisily for a
 tight ratio.
 
-The two modes are timed in :data:`NUM_PAIRS` interleaved pairs — one
-sequential and one coalesced drive of the same requests, back to back,
-with the first arm alternating — and the gate reads the best pair
-ratio, so host drift between drives cannot fake or hide a gap.
+A third drive, *lone*, sends the same requests one at a time through
+the coalescing service.  A query with no same-key peer in flight must
+dispatch at once, so a lone client gets **≥ 0.8×** the throughput of
+the window-0 service instead of paying the 4 ms window on every query.
+
+The three drives are timed in :data:`NUM_PAIRS` interleaved rounds —
+back to back, with the sequential baseline in the middle and the order
+reversed every round — so each round holds one (sequential, coalesced)
+and one (sequential, lone) pair.  Each gate reads its best pair ratio,
+so host drift between drives cannot fake or hide a gap.
 
 Every reply of every drive must agree with a direct sequential
 :func:`repro.core.linbp.linbp` call to 1e-10 in both modes — the
@@ -55,7 +61,10 @@ NUM_ITERATIONS = 12
 EPSILON = 0.005
 WINDOW_SECONDS = 0.004
 ASSERTED_SPEEDUP = 1.4 if SMOKE else 2.0
-#: Interleaved (sequential, coalesced) drive pairs the gate is judged on.
+#: A lone client on the coalescing service against the window-0 one.
+ASSERTED_LONE_RATIO = 0.8
+#: Interleaved (coalesced, sequential, lone) drive rounds; each gate is
+#: judged on the best of its pairs.
 NUM_PAIRS = 10
 
 
@@ -91,7 +100,7 @@ def _check_replies(run, expected) -> None:
 
 
 def test_service_coalesced_throughput(benchmark):
-    """16 concurrent closed-loop clients vs one-query-at-a-time."""
+    """16 concurrent closed-loop clients, and one, vs one-query-at-a-time."""
     clear_plan_cache()
     graph = random_graph(NUM_NODES, EDGE_PROBABILITY, seed=1)
     coupling = synthetic_residual_matrix(epsilon=EPSILON)
@@ -115,6 +124,8 @@ def test_service_coalesced_throughput(benchmark):
     def drive(arm):
         if arm == "sequential":
             run = sequential_harness.run_sequential(requests)
+        elif arm == "lone":
+            run = coalesced_harness.run_sequential(requests)
         else:
             run = coalesced_harness.run_concurrent(
                 requests, num_clients=NUM_CLIENTS)
@@ -122,31 +133,36 @@ def test_service_coalesced_throughput(benchmark):
         return run
 
     # Interleaved pairs, judged on the best pair ratio (the discipline
-    # of test_bench_obs.py): both drives of a pair run back to back
-    # under near-identical machine state, and the arm that goes first
-    # alternates, so host drift cannot open or close the gap the way it
-    # can between two blocks of drives.
+    # of test_bench_obs.py): the sequential baseline runs back to back
+    # with both drives it is compared with, under near-identical machine
+    # state, and the order reverses every round, so host drift cannot
+    # open or close either gap the way it can between two blocks of
+    # drives.
     table = ResultTable(
-        f"Service — {len(requests)} queries, {NUM_CLIENTS} clients, "
-        f"coalesced vs one-at-a-time, {NUM_PAIRS} interleaved pairs "
+        f"Service — {len(requests)} queries, {NUM_CLIENTS} clients and "
+        f"one lone client vs one-at-a-time, {NUM_PAIRS} interleaved rounds "
         f"({graph.num_nodes} nodes, {graph.num_edges} edges)")
-    ratios = []
+    ratios, lone_ratios = [], []
     for index in range(NUM_PAIRS):
-        order = ("sequential", "coalesced") if index % 2 == 0 \
-            else ("coalesced", "sequential")
+        order = ("coalesced", "sequential", "lone")
+        if index % 2:
+            order = order[::-1]
         runs = {arm: drive(arm) for arm in order}
-        ratio = runs["coalesced"].throughput / runs["sequential"].throughput
-        ratios.append(ratio)
+        baseline = runs["sequential"].throughput
+        ratios.append(runs["coalesced"].throughput / baseline)
+        lone_ratios.append(runs["lone"].throughput / baseline)
         table.add_row(pair=index + 1, first=order[0],
-                      sequential_rps=runs["sequential"].throughput,
+                      sequential_rps=baseline,
                       coalesced_rps=runs["coalesced"].throughput,
-                      speedup=ratio)
-    speedup = max(ratios)
+                      lone_rps=runs["lone"].throughput,
+                      speedup=ratios[-1], lone_ratio=lone_ratios[-1])
+    speedup, lone_ratio = max(ratios), max(lone_ratios)
     median = float(np.median(ratios))
+    lone_median = float(np.median(lone_ratios))
     coalescer_stats = coalesced_service.stats()["coalescer"]
-    table.add_row(pair="best", speedup=speedup,
+    table.add_row(pair="best", speedup=speedup, lone_ratio=lone_ratio,
                   largest_batch=coalescer_stats["largest_batch"])
-    table.add_row(pair="median", speedup=median)
+    table.add_row(pair="median", speedup=median, lone_ratio=lone_median)
 
     # The benchmark statistic is one coalesced closed-loop drive.
     benchmark.pedantic(
@@ -162,3 +178,10 @@ def test_service_coalesced_throughput(benchmark):
         f"clients (need >= {ASSERTED_SPEEDUP}x); pair ratios "
         f"{', '.join(f'{ratio:.2f}' for ratio in ratios)}, median "
         f"{median:.2f}")
+    assert lone_ratio >= ASSERTED_LONE_RATIO, (
+        f"one client on the coalescing service got only {lone_ratio:.2f}x "
+        f"the window-0 throughput in the best of {NUM_PAIRS} interleaved "
+        f"pairs (need >= {ASSERTED_LONE_RATIO}x): a lone query must not "
+        f"wait out the {WINDOW_SECONDS * 1000:g} ms window; pair ratios "
+        f"{', '.join(f'{ratio:.2f}' for ratio in lone_ratios)}, median "
+        f"{lone_median:.2f}")

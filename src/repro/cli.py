@@ -510,8 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address for --port (default: 127.0.0.1)")
     serve.add_argument("--window-ms", type=_non_negative_float, default=2.0,
-                       help="micro-batching collection window in ms "
-                            "(0 disables coalescing; default: 2)")
+                       help="micro-batching collection window in ms, "
+                            "waited only while a same-key query is in "
+                            "flight (0 disables coalescing; default: 2)")
     serve.add_argument("--max-batch", type=_positive_int, default=16,
                        help="dispatch a batch early at this size (default: 16)")
     serve.add_argument("--result-ttl", type=_non_negative_float, default=300.0,

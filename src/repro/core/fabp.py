@@ -28,6 +28,7 @@ from typing import List, Literal, Sequence
 
 import numpy as np
 
+from repro.beliefs.beliefs import checked_explicit
 from repro.coupling.matrices import CouplingMatrix
 from repro.core.results import PropagationResult
 from repro.engine.plan import get_binary_solver
@@ -51,6 +52,17 @@ def binary_coupling(h_residual: float, epsilon: float = 1.0,
                                         class_names=class_names)
 
 
+def _checked_scalars(explicit_scalars, num_nodes: int) -> np.ndarray:
+    """The length-``n`` vector ``ê``, checked as an ``n x 1`` ``Ê``.
+
+    A wrong length or a NaN or ±Infinity scalar is the
+    :class:`ValidationError` of :func:`~repro.beliefs.checked_explicit`,
+    naming the shape or the node.
+    """
+    return checked_explicit(np.ravel(explicit_scalars)[:, None],
+                            num_nodes, 1)[:, 0]
+
+
 def fabp_closed_form(graph: Graph, h_residual: float,
                      explicit_scalars: np.ndarray,
                      variant: Literal["linbp", "exact"] = "linbp") -> np.ndarray:
@@ -64,7 +76,9 @@ def fabp_closed_form(graph: Graph, h_residual: float,
         The scalar residual coupling ``ĥ`` (already scaled by ``ε_H``).
     explicit_scalars:
         Length-``n`` vector ``ê`` of scalar explicit beliefs (positive values
-        favour class 0, negative values class 1, zero means unlabeled).
+        favour class 0, negative values class 1, zero means unlabeled).  A
+        NaN or ±Infinity scalar is a :class:`ValidationError` naming its
+        node.
     variant:
         ``"linbp"`` (default) solves ``(I − 2ĥA + 4ĥ²D) b̂ = ê`` — the exact
         k = 2 instance of the LinBP equation system.  ``"exact"`` solves the
@@ -76,10 +90,7 @@ def fabp_closed_form(graph: Graph, h_residual: float,
     ``(graph, ĥ, variant)`` triple factorises once, subsequent calls only
     perform the two triangular solves.
     """
-    explicit = np.asarray(explicit_scalars, dtype=float).ravel()
-    if explicit.shape[0] != graph.num_nodes:
-        raise ValidationError(
-            f"expected {graph.num_nodes} explicit scalars, got {explicit.shape[0]}")
+    explicit = _checked_scalars(explicit_scalars, graph.num_nodes)
     solve = get_binary_solver(graph, h_residual, variant=variant)
     return np.asarray(solve(explicit)).ravel()
 
@@ -120,12 +131,8 @@ def fabp_batch(graph: Graph, h_residual: float,
     if len(explicit_scalars_list) == 0:
         return []
     stacked = np.column_stack(
-        [np.asarray(explicit, dtype=float).ravel()
+        [_checked_scalars(explicit, graph.num_nodes)
          for explicit in explicit_scalars_list])
-    if stacked.shape[0] != graph.num_nodes:
-        raise ValidationError(
-            f"expected {graph.num_nodes} explicit scalars per query, "
-            f"got {stacked.shape[0]}")
     solve = get_binary_solver(graph, h_residual, variant=variant)
     solutions = np.asarray(solve(stacked)).reshape(graph.num_nodes, -1)
     results: List[PropagationResult] = []

@@ -155,11 +155,11 @@ class BatchWorkspace:
             for query, start in enumerate(initial_beliefs):
                 if start is None:
                     continue
-                start = np.asarray(start, dtype=np.float64)
-                if start.shape != checked[query].shape:
+                if np.shape(start) != checked[query].shape:
                     raise ValidationError(
                         "initial beliefs must have the same shape as Ê")
-                self._front[:, query * k:(query + 1) * k] = start
+                self._front[:, query * k:(query + 1) * k] = \
+                    checked_explicit(start, n, k)
 
     def beliefs(self, query: int) -> np.ndarray:
         """Copy of the current ``n x k`` belief block of one query."""

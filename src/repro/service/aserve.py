@@ -59,7 +59,8 @@ DEFAULT_MAX_PENDING = 64
 #: Default per-connection cap on admitted-but-unanswered requests.
 DEFAULT_MAX_INFLIGHT = 8
 #: Default worker threads executing requests (coalescing needs enough
-#: workers for concurrent arrivals to overlap inside the batch window).
+#: workers for requests that arrive while a same-key query is in flight
+#: to overlap inside the batch window; a lone request never waits).
 DEFAULT_WORKERS = 16
 #: Longest request line read, in bytes (asyncio's default stream limit).
 #: A longer line is answered with one ``error`` line and skipped.

@@ -6,15 +6,21 @@ traversal over every query in a batch — but they need a *batch* to work
 on, and independent clients submit one query at a time.  The
 :class:`MicroBatcher` closes that gap: concurrent submissions that share
 a *batch key* (same graph snapshot, coupling values and solver
-parameters) within a short collection window are dispatched together as
-one stacked call, and each submitter receives exactly its own result.
+parameters) are dispatched together as one stacked call, and each
+submitter receives exactly its own result.
 
 The design is leader-based and lock-light:
 
-* the **first** submitter for a key becomes the batch *leader*: it
-  registers a pending batch, waits up to ``window_seconds`` for
-  followers, then closes the batch, runs the supplied batch function
-  once, and publishes the results;
+* the batcher counts each key's submissions *in flight* (entered
+  :meth:`~MicroBatcher.submit`, not yet returned) under its lock, and
+  forgets a key as soon as its count is back to zero;
+* the submitter that finds no open batch for its key becomes the batch
+  *leader*.  With no same-key peer in flight it closes its batch and
+  dispatches at once, so a lone request never waits.  While a peer is
+  in flight it registers a pending batch and waits up to
+  ``window_seconds`` for followers — the requests that arrive while the
+  peer's batch runs — then closes the batch, runs the supplied batch
+  function once, and publishes the results;
 * **followers** append their item to the pending batch and block on the
   batch's completion event — they never touch the engine;
 * a batch is dispatched *early* as soon as it reaches ``max_batch``
@@ -68,9 +74,11 @@ class MicroBatcher:
     Parameters
     ----------
     window_seconds:
-        How long a batch leader waits for followers before dispatching.
-        ``0`` disables coalescing (every request dispatches immediately,
-        still through the same code path — useful as a baseline).
+        How long a batch leader waits for followers before dispatching,
+        paid only while another submission for the same key is in
+        flight; a lone submission dispatches at once.  ``0`` disables
+        coalescing (every request dispatches immediately, still through
+        the same code path — useful as a baseline).
     max_batch:
         Dispatch early once this many requests joined one batch.
 
@@ -89,6 +97,9 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self._lock = threading.Lock()
         self._pending: Dict[Hashable, _PendingBatch] = {}
+        #: Submissions per key that entered :meth:`submit` and have not
+        #: returned; a key leaves the dict when its count reaches zero.
+        self._in_flight: Dict[Hashable, int] = {}
         self.stats = {"requests": 0, "batches": 0,
                       "coalesced_requests": 0, "largest_batch": 0}
 
@@ -104,30 +115,51 @@ class MicroBatcher:
         """
         with self._lock:
             self.stats["requests"] += 1
+            peers = self._in_flight.get(key, 0)
+            self._in_flight[key] = peers + 1
             batch = self._pending.get(key)
-            if batch is None or batch.closed:
+            leader = batch is None or batch.closed
+            wait = False
+            if leader:
                 batch = _PendingBatch()
-                self._pending[key] = batch
-                leader = True
-            else:
-                leader = False
+                # Only a leader with a same-key peer in flight collects
+                # followers; a lone one closes its batch right away.
+                wait = peers > 0 and self.window_seconds > 0 \
+                    and self.max_batch > 1
+                if wait:
+                    self._pending[key] = batch
+                else:
+                    batch.closed = True
             index = len(batch.items)
             batch.items.append(item)
             if len(batch.items) >= self.max_batch:
                 batch.closed = True
                 batch.full.set()
-        if not leader:
-            batch.done.wait()
-            if batch.error is not None:
-                raise batch.error
-            return batch.results[index]
+        try:
+            if not leader:
+                batch.done.wait()
+                if batch.error is not None:
+                    raise batch.error
+                return batch.results[index]
+            return self._lead(key, batch, index, wait, run)
+        finally:
+            with self._lock:
+                if self._in_flight[key] == 1:
+                    del self._in_flight[key]
+                else:
+                    self._in_flight[key] -= 1
+
+    def _lead(self, key: Hashable, batch: _PendingBatch, index: int,
+              wait: bool, run: Callable[[List[object]], Sequence[object]]
+              ) -> object:
+        """Close ``batch`` (after the window when ``wait``) and run it."""
         # From the moment the batch is registered, the leader owes its
         # followers a completion signal: everything up to and including
         # the dispatch runs under one try/finally, so even an exception
         # raised *while waiting* (e.g. a KeyboardInterrupt delivered to
         # the leader thread) can never strand followers on done.wait().
         try:
-            if self.window_seconds > 0 and self.max_batch > 1:
+            if wait:
                 batch.full.wait(self.window_seconds)
             with self._lock:
                 batch.closed = True

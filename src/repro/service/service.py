@@ -15,12 +15,13 @@ batched engines.  It owns three pieces of state:
 
 * **A micro-batching coalescer.**  Concurrent single-query requests that
   share a batch key — ``(snapshot, method, coupling values, solver
-  parameters)``, plus the labeled-node set for SBP — are collected for a
-  short window and dispatched as *one*
-  :func:`repro.engine.batch.run_batch` /
+  parameters)``, plus the labeled-node set for SBP — are dispatched as
+  *one* :func:`repro.engine.batch.run_batch` /
   :func:`repro.engine.sbp_plan.run_sbp_batch` stacked call (see
-  :mod:`repro.service.coalescer`).  Results are equivalent to sequential
-  single-query calls to 1e-10.
+  :mod:`repro.service.coalescer`).  A query with no same-key peer in
+  flight dispatches at once; one that arrives while a peer is in flight
+  waits up to the short window for followers.  Results are equivalent
+  to sequential single-query calls to 1e-10.
 
 * **TTL+LRU caches.**  Results are cached in a lock-protected
   :class:`repro.engine.plan.GraphKeyedCache` keyed by the snapshot's
@@ -187,7 +188,10 @@ class PropagationService:
     ----------
     window_seconds, max_batch:
         Coalescing behaviour (see :class:`~repro.service.coalescer
-        .MicroBatcher`).  ``window_seconds=0`` disables coalescing.
+        .MicroBatcher`).  A query waits up to ``window_seconds`` for
+        followers only while another query with its batch key is in
+        flight; a lone query dispatches at once.  ``window_seconds=0``
+        disables coalescing.
     result_cache_size, result_ttl_seconds:
         LRU capacity and entry lifetime of the result cache; ``None``
         TTL keeps results until evicted by LRU or a graph update.

@@ -1,10 +1,12 @@
 """Shared fixtures: small graphs, couplings and belief matrices used across
-tests, and a live TCP server."""
+tests, a live TCP server and a coalescer hold for concurrent traffic."""
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -94,3 +96,34 @@ def tcp_server():
     thread.join(timeout=10)
     assert not thread.is_alive(), "server loop did not stop"
     loop.close()
+
+
+@pytest.fixture
+def hold_first_batch(monkeypatch):
+    """Make concurrent requests meet a peer in flight in the coalescer.
+
+    ``hold_first_batch(batcher, count)`` holds the first batch ``batcher``
+    dispatches until ``count`` requests have entered ``submit``.  A lone
+    first request dispatches at once, so without the hold a fast engine
+    can answer each barrier-released request before the next arrives;
+    with it, the later requests arrive while a same-key peer is in
+    flight and share batches.
+    """
+    def hold(batcher, count: int) -> None:
+        submit = batcher.submit
+        dispatches = itertools.count()
+
+        def held_submit(key, item, run):
+            def held_run(items):
+                if next(dispatches) == 0:
+                    deadline = time.monotonic() + 30
+                    while batcher.stats["requests"] < count:
+                        assert time.monotonic() < deadline, \
+                            "the other requests never reached the coalescer"
+                        time.sleep(0.001)
+                return run(items)
+            return submit(key, item, held_run)
+
+        monkeypatch.setattr(batcher, "submit", held_submit)
+
+    return hold

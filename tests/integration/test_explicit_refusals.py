@@ -16,7 +16,11 @@ import pytest
 from repro.core import (
     SBP,
     IncrementalLinBP,
+    LinBP,
     belief_propagation,
+    fabp,
+    fabp_batch,
+    fabp_closed_form,
     linbp,
     linbp_closed_form,
     sbp,
@@ -141,3 +145,59 @@ def test_non_numeric_edges_are_refused_before_any_change(kind):
         _chain()[0].with_edges_added(edges)
     assert str(raised.value) == str(expected.value)
     _assert_same_state(before, _state(runner))
+
+
+#: FaBP takes one explicit scalar per node: ``Ê`` with a single column.
+FABP_ENTRY_POINTS = {
+    "fabp": lambda g, e: fabp(g, 0.1, e),
+    "fabp-exact": lambda g, e: fabp(g, 0.1, e, variant="exact"),
+    "fabp_batch": lambda g, e: fabp_batch(g, 0.1, [np.zeros(NUM_NODES), e]),
+    "fabp_closed_form": lambda g, e: fabp_closed_form(g, 0.1, e),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(FABP_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_fabp_scalars_are_refused(entry_point, value):
+    graph = _chain()[0]
+    scalars = np.zeros(NUM_NODES)
+    scalars[0] = 0.1
+    scalars[3] = value
+    with pytest.raises(ValidationError,
+                       match=f"belief value {value} for node 3 class 0 "
+                             "is not finite"):
+        FABP_ENTRY_POINTS[entry_point](graph, scalars)
+
+
+@pytest.mark.parametrize("entry_point", list(FABP_ENTRY_POINTS))
+def test_fabp_scalars_of_the_wrong_length_are_refused(entry_point):
+    graph = _chain()[0]
+    with pytest.raises(ValidationError, match="got shape"):
+        FABP_ENTRY_POINTS[entry_point](graph, np.zeros(NUM_NODES - 1))
+
+
+WARM_STARTS = {
+    "run_batch": lambda g, c, e, start: run_batch(
+        get_plan(g, c), [e], initial_beliefs=[start]),
+    "LinBP.run": lambda g, c, e, start: LinBP(g, c).run(
+        e, initial_beliefs=start),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(WARM_STARTS))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_initial_beliefs_are_refused(entry_point, value):
+    graph, coupling, explicit = _chain()
+    start = np.zeros_like(explicit)
+    start[2, 0] = value
+    with pytest.raises(ValidationError,
+                       match="node 2 class 0 is not finite"):
+        WARM_STARTS[entry_point](graph, coupling, explicit, start)
+
+
+@pytest.mark.parametrize("entry_point", list(WARM_STARTS))
+def test_initial_beliefs_of_the_wrong_shape_are_refused(entry_point):
+    graph, coupling, explicit = _chain()
+    with pytest.raises(ValidationError, match="initial beliefs must have"):
+        WARM_STARTS[entry_point](graph, coupling, explicit,
+                                 np.zeros((NUM_NODES, 2)))

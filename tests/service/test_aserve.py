@@ -174,20 +174,28 @@ class TestTraffic:
                     assert values == [float(v)
                                       for v in direct.beliefs[node]]
 
-    def test_concurrent_connections_coalesce_in_the_micro_batcher(self):
+    def test_concurrent_connections_coalesce_in_the_micro_batcher(
+            self, hold_first_batch):
+        # The first query's batch is held until every connection's query
+        # has entered the coalescer, so the other seven arrive while a
+        # peer is in flight and wait out the window together.
         session = _loaded_session()
+        batcher = session.service.batcher
+        hold_first_batch(batcher, 8)
 
         async def scenario():
             server = AsyncServiceServer(session, workers=16)
             address = await server.start()
             try:
-                await asyncio.gather(
+                return await asyncio.gather(
                     *[_talk(address, [_query_line()]) for _ in range(8)])
             finally:
                 await server.close()
 
-        asyncio.run(scenario())
-        assert session.service.stats()["coalescer"]["largest_batch"] > 1
+        for responses in asyncio.run(scenario()):
+            assert json.loads(responses[0])["ok"] is True
+        assert batcher.stats["requests"] == 8
+        assert batcher.stats["largest_batch"] > 1
 
     def test_pipelined_responses_come_back_in_request_order(self):
         session = _loaded_session()

@@ -44,10 +44,12 @@ def _workload(num_queries: int, num_nodes: int = 40, seed: int = 11):
 class TestConcurrentEquivalence:
     """N concurrent service queries == N sequential solver calls."""
 
-    def test_concurrent_linbp_queries_match_sequential_to_1e10(self):
+    def test_concurrent_linbp_queries_match_sequential_to_1e10(
+            self, hold_first_batch):
         graph, coupling, explicit_list = _workload(16)
         service = PropagationService(window_seconds=0.25, max_batch=16)
         service.register_graph("g", graph)
+        hold_first_batch(service.batcher, 16)
         harness = ServiceHarness(service)
         requests = [dict(graph_name="g", coupling=coupling,
                          explicit_residuals=explicit)
@@ -61,7 +63,8 @@ class TestConcurrentEquivalence:
         # The requests must actually have been coalesced, not serialised.
         assert service.stats()["coalescer"]["largest_batch"] > 1
 
-    def test_concurrent_sbp_queries_match_sequential_to_1e10(self):
+    def test_concurrent_sbp_queries_match_sequential_to_1e10(
+            self, hold_first_batch):
         graph, coupling, explicit_list = _workload(1)
         # Shared labeled set (same non-zero rows), distinct belief values —
         # the stacked-block regime of run_sbp_batch.
@@ -69,6 +72,7 @@ class TestConcurrentEquivalence:
                          for scale in np.linspace(0.5, 2.0, 12)]
         service = PropagationService(window_seconds=0.25, max_batch=12)
         service.register_graph("g", graph)
+        hold_first_batch(service.batcher, 12)
         harness = ServiceHarness(service)
         requests = [dict(graph_name="g", coupling=coupling,
                          explicit_residuals=explicit,
